@@ -9,7 +9,7 @@ converts miss counts into stall cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..errors import ConfigurationError
 from ..units import kb
@@ -104,19 +104,7 @@ class MachineSpec:
 
     def with_clock(self, clock_hz: float) -> "MachineSpec":
         """Return a copy running at a different clock rate (Figure 7)."""
-        return MachineSpec(
-            clock_hz,
-            self.icache,
-            self.dcache,
-            self.miss_penalty,
-            self.l2,
-            self.memory_penalty,
-            self.iprefetch_efficiency,
-        )
-
-    def with_miss_penalty(self, miss_penalty: int) -> "MachineSpec":
-        """Return a copy with a different miss penalty (ablation A2)."""
-        return MachineSpec(self.clock_hz, self.icache, self.dcache, miss_penalty)
+        return replace(self, clock_hz=clock_hz)
 
 
 #: The DEC 3000/400 of Section 2: 8 KB primaries, 32-byte lines, and a

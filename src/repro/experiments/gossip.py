@@ -21,7 +21,7 @@ wire-protocol story the Dispersy document tells and the paper predicts:
 
 Every sweep point is the pure module-level
 :func:`repro.gossip.runner.gossip_point`; flow-charged runs always take
-the scalar loop, so the CI dual-engine passes share byte-identical
+scalar steps, so the CI dual-engine passes share byte-identical
 results.  The HARN004 analysis rule pins that every framing mode
 registered in :data:`repro.gossip.wire.FRAMING_MODES` appears in this
 sweep at every scale.

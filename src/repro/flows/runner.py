@@ -152,7 +152,7 @@ def run_flow_simulation(
         flush_period_cycles=config.flush_period_cycles,
         engine=config.engine,
     )
-    run = assemble_run_result(scheduler, outcome, source, stream, config)
+    run = assemble_run_result([scheduler], outcome, source, stream, config)
     lookup = binding.flow_lookup
     return FlowRunResult(
         run=run,

@@ -1,9 +1,7 @@
-"""Discrete-event simulation: engine, queues, statistics, the
-Section-4 synthetic benchmark runner, and its multi-core
-generalization (:mod:`repro.sim.multicore`)."""
+"""Simulation: the one drive loop, statistics, the Section-4
+synthetic benchmark runner, and its multi-core generalization
+(:mod:`repro.sim.multicore`)."""
 
-from .engine import Simulator
-from .events import Event, EventQueue
 from .multicore import (
     CoreStats,
     MultiCoreConfig,
@@ -14,7 +12,6 @@ from .multicore import (
     run_multicore,
     run_multicore_averaged,
 )
-from .queues import BoundedQueue
 from .runner import (
     ComparisonResult,
     DriveStats,
@@ -37,15 +34,12 @@ from .stats import (
 from .vec import arrival_table, try_drive_vec, vec_supported
 
 __all__ = [
-    "BoundedQueue",
     "CoreStats",
     "DriveStats",
     "drive",
     "drive_multicore",
     "ComparisonResult",
     "ENGINE_NAMES",
-    "Event",
-    "EventQueue",
     "arrival_table",
     "LatencyRecorder",
     "LatencySummary",
@@ -55,7 +49,6 @@ __all__ = [
     "RunResult",
     "SCHEDULER_NAMES",
     "SimulationConfig",
-    "Simulator",
     "build_paper_stack",
     "compare_schedulers",
     "merge_multicore_results",

@@ -1,7 +1,7 @@
 """Multi-core synthetic benchmark: dispatch stage -> N cores -> stats.
 
-The single-core drive loop (:func:`repro.sim.runner.drive`) generalized
-to the modern topology: a receive-side dispatch stage
+The single-core benchmark (:func:`repro.sim.runner.run_simulation`)
+generalized to the modern topology: a receive-side dispatch stage
 (:mod:`repro.core.dispatch`) steers each arrival onto one of N modeled
 cores (:mod:`repro.machine.multicore`), each running its own scheduler
 instance over private I/D caches, optionally behind one shared L2.
@@ -10,15 +10,15 @@ dispatcher picks the core *first*, then that core's
 :class:`~repro.core.overload.DropPolicy` decides admission, so every
 drop-policy sweep from :mod:`repro.faults` carries over unchanged.
 
-The drive loop is a deterministic discrete-event merge of per-core CPU
-clocks: the next event is always the earliest of (next arrival, next
-busy core's service step), with ties admitting first — exactly the
-single-core loop's order, which is why a ``num_cores=1`` run reproduces
-:func:`repro.sim.runner.run_simulation` bit-identically for every
-dispatch policy (``tests/test_multicore.py`` pins this).  Multi-core
-runs always use the scalar service-step path; the vectorized engine
-(:mod:`repro.sim.vec`) is a single-core whole-run replay and does not
-apply here.
+There is one drive loop (:func:`repro.sim.runner.drive`'s event merge
+over N per-core CPU clocks); a single core is just N = 1.  The next
+event is always the earliest of (next arrival, next busy core's service
+step), with ties admitting first, which is why a ``num_cores=1`` run
+reproduces :func:`repro.sim.runner.run_simulation` bit-identically for
+every dispatch policy (``tests/test_multicore.py`` pins this).
+Multi-core runs step every core through the scalar
+``service_step()`` strategy; the vectorized step strategy
+(:mod:`repro.sim.vec`) is only used by single-core drives.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field, replace
 from typing import Any
-
-import numpy as np
 
 from ..cache.hierarchy import CacheGeometry, MachineSpec
 from ..core.dispatch import (
@@ -42,16 +40,19 @@ from ..core.overload import DROP_POLICIES
 from ..core.scheduler import Scheduler
 from ..errors import ConfigurationError
 from ..machine.multicore import MultiCoreSpec
-from ..obs.runtime import active_recorder, machine_counters
+from ..obs.runtime import active_recorder
 from ..traffic.base import Arrival, TrafficSource
 from ..traffic.poisson import PoissonSource
-from .runner import SCHEDULER_NAMES, SimulationConfig, build_scheduler
-from .stats import (
-    LatencyRecorder,
-    MissesPerMessage,
-    RunResult,
-    merge_results,
+from .runner import (
+    SCHEDULER_NAMES,
+    DriveStats,
+    SimulationConfig,
+    _drive_cores,
+    assemble_run_result,
+    build_scheduler,
+    scalar_step,
 )
+from .stats import RunResult, merge_results
 
 
 @dataclass(frozen=True)
@@ -206,36 +207,19 @@ def tag_flows(
         message.meta[APP_CLASS_KEY] = int(flow % app_classes)
 
 
-@dataclass
-class MultiCoreDriveStats:
-    """Raw outcome of :func:`drive_multicore`."""
-
-    latency: LatencyRecorder
-    completed: int
-    service_cycles: float
-    #: Completions attributed to each core, in core order.
-    per_core_completed: list[int]
-    #: Service cycles attributed to each core, in core order.
-    per_core_service_cycles: list[float]
-    #: Arrivals dispatched to each core, in core order.
-    per_core_dispatched: list[int]
-
-
 def drive_multicore(
     cores: list[Scheduler],
     dispatch: DispatchPolicy,
     arrivals: list[tuple[float, Message]],
     flush_period_cycles: float | None = None,
-) -> MultiCoreDriveStats:
+) -> DriveStats:
     """Drive N bound schedulers from one dispatched arrival stream.
 
-    Deterministic event merge over per-core CPU clocks: repeatedly take
-    the earliest pending event — the next arrival (admitted via the
-    dispatch policy, then the target core's drop policy) or a service
-    step on the busy core with the lowest cycle count (ties broken by
-    core index).  Arrivals at or before a core's current cycle are
-    admitted before that core steps again, matching the single-core
-    loop's admission order exactly.
+    Runs the shared drive loop (:func:`repro.sim.runner.drive`'s event
+    merge) with a scalar step strategy on every core: the next arrival
+    is dispatched, then admitted by the target core's drop policy, as
+    long as it is not later than the earliest busy core's clock;
+    otherwise that core steps (ties broken by core index).
 
     With a :mod:`repro.obs` recorder installed, each core's service
     steps are spans on a ``core{i}/scheduler`` track with machine
@@ -243,125 +227,12 @@ def drive_multicore(
     instant on the ``dispatch`` track, and drops/flushes counted per
     core as well as globally.
     """
-    if not cores:
-        raise ConfigurationError("drive_multicore() needs at least one core")
-    for scheduler in cores:
-        if scheduler.binding is None:
-            raise ConfigurationError(
-                "drive_multicore() needs machine-bound schedulers"
-            )
-    if flush_period_cycles is not None and flush_period_cycles <= 0:
-        raise ConfigurationError("cache-flush period must be positive")
-    recorder = active_recorder()
-    num_cores = len(cores)
-    clock = cores[0].binding.cpu.clock  # type: ignore[union-attr]
-    pending = [
-        (clock.seconds_to_cycles(time), message) for time, message in arrivals
-    ]
-    next_flush = [flush_period_cycles] * num_cores
-    latency = LatencyRecorder()
-    per_core_completed = [0] * num_cores
-    per_core_service = [0.0] * num_cores
-    per_core_dispatched = [0] * num_cores
-    index = 0
-    completed = 0
-
-    while True:
-        busy = [
-            (cores[i].binding.cpu.cycles, i)  # type: ignore[union-attr]
-            for i in range(num_cores)
-            if cores[i].busy
-        ]
-        next_service = min(busy) if busy else None
-        next_arrival = pending[index][0] if index < len(pending) else None
-        if next_arrival is None and next_service is None:
-            break
-        if next_arrival is not None and (
-            next_service is None or next_arrival <= next_service[0]
-        ):
-            # Admission event: dispatch first, then the core's drop policy.
-            cycle, message = pending[index]
-            target = dispatch.select(message, num_cores) % num_cores
-            scheduler = cores[target]
-            cpu = scheduler.binding.cpu  # type: ignore[union-attr]
-            if not scheduler.busy:
-                cpu.advance_to_cycle(cycle)
-            message.meta["arrival_cycle"] = cycle
-            drops_before = scheduler.drops
-            scheduler.enqueue_arrival(message)
-            per_core_dispatched[target] += 1
-            if recorder is not None:
-                recorder.count("messages.arrivals")
-                recorder.count(f"dispatch.core{target}.assigned")
-                recorder.instant(
-                    "dispatch", dispatch.name, cycle,
-                    core=target, size=message.size,
-                )
-                lost = scheduler.drops - drops_before
-                if lost:
-                    recorder.count("messages.drops", float(lost))
-                    recorder.count(f"dispatch.core{target}.drops", float(lost))
-                    recorder.instant(
-                        f"core{target}/scheduler", "drop", cpu.cycles,
-                        size=message.size,
-                    )
-            index += 1
-            continue
-
-        # Service event on the earliest busy core.
-        assert next_service is not None
-        core_index = next_service[1]
-        scheduler = cores[core_index]
-        cpu = scheduler.binding.cpu  # type: ignore[union-attr]
-        before = cpu.cycles
-        handle = (
-            recorder.begin(
-                f"core{core_index}/scheduler",
-                "service_step",
-                cpu.cycles,
-                machine_counters(cpu),
-                pending_messages=scheduler.pending(),
-            )
-            if recorder is not None
-            else None
-        )
-        completions = scheduler.service_step()
-        if recorder is not None and handle is not None:
-            handle.args["completions"] = len(completions)
-            recorder.end(handle, cpu.cycles)
-            recorder.count("scheduler.service_steps")
-            recorder.count("messages.completions", float(len(completions)))
-        for completion in completions:
-            arrival_cycle = completion.message.meta.get("arrival_cycle")
-            if arrival_cycle is None:
-                continue
-            completed += 1
-            per_core_completed[core_index] += 1
-            latency.record(
-                clock.cycles_to_seconds(
-                    completion.completion_cycle - arrival_cycle
-                )
-            )
-        per_core_service[core_index] += cpu.cycles - before
-        flush_at = next_flush[core_index]
-        if flush_at is not None and cpu.cycles >= flush_at:
-            cpu.cold_start()
-            if recorder is not None:
-                recorder.count("faults.cache_flushes")
-                recorder.instant(
-                    f"core{core_index}/scheduler", "cache_flush", cpu.cycles
-                )
-            while flush_at <= cpu.cycles:
-                flush_at += flush_period_cycles  # type: ignore[operator]
-            next_flush[core_index] = flush_at
-
-    return MultiCoreDriveStats(
-        latency=latency,
-        completed=completed,
-        service_cycles=sum(per_core_service),
-        per_core_completed=per_core_completed,
-        per_core_service_cycles=per_core_service,
-        per_core_dispatched=per_core_dispatched,
+    return _drive_cores(
+        cores,
+        [scalar_step(scheduler) for scheduler in cores],
+        arrivals,
+        flush_period_cycles,
+        dispatch,
     )
 
 
@@ -473,30 +344,7 @@ def run_multicore(
         flush_period_cycles=config.flush_period_cycles,
     )
 
-    imisses = sum(s.binding.cpu.icache_misses for s in cores)  # type: ignore[union-attr]
-    dmisses = sum(s.binding.cpu.dcache_misses for s in cores)  # type: ignore[union-attr]
-    batch_sizes: list[int] = []
-    for scheduler in cores:
-        batch_sizes.extend(getattr(scheduler, "batch_sizes", []))
-    mean_batch = float(np.mean(batch_sizes)) if len(batch_sizes) > 0 else 1.0
-    rate = getattr(source, "rate", None)
-    if rate is None:
-        rate = len(stream) / config.duration if len(stream) > 0 else 0.0
-    divisor = max(outcome.completed, 1)
-    aggregate = RunResult(
-        scheduler=config.scheduler,
-        arrival_rate=float(rate),
-        offered=sum(s.arrivals for s in cores),
-        completed=outcome.completed,
-        dropped=sum(s.drops for s in cores),
-        duration=config.duration,
-        latency=outcome.latency.summary(),
-        misses=MissesPerMessage(
-            instruction=imisses / divisor, data=dmisses / divisor
-        ),
-        cycles_per_message=outcome.service_cycles / divisor,
-        mean_batch_size=mean_batch,
-    )
+    aggregate = assemble_run_result(cores, outcome, source, stream, config)
     core_stats = tuple(
         CoreStats(
             core=index,
@@ -523,6 +371,8 @@ def run_multicore(
         # dispatch-locality claim is read from (ldlp vs rss at >= 4
         # cores), plus per-core attribution totals.
         prefix = f"multicore.{config.dispatch}.cores{config.num_cores}"
+        imisses = sum(stats.icache_misses for stats in core_stats)
+        dmisses = sum(stats.dcache_misses for stats in core_stats)
         recorder.count(f"{prefix}.imisses", float(imisses))
         recorder.count(f"{prefix}.dmisses", float(dmisses))
         recorder.count(f"{prefix}.completed", float(outcome.completed))

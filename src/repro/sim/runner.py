@@ -14,12 +14,14 @@ results averaged over runs with different random code placements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from ..cache.hierarchy import MachineSpec
 from ..core.batching import BatchPolicy
 from ..core.binding import MachineBinding
+from ..core.dispatch import DispatchPolicy
 from ..core.layer import Layer, LayerFootprint, Message, PassthroughLayer
 from ..core.overload import DROP_POLICIES, make_drop_policy
 from ..core.scheduler import (
@@ -166,17 +168,240 @@ def build_scheduler(config: SimulationConfig, seed) -> Scheduler:
     )
 
 
-#: Backwards-compatible alias (pre-multicore name).
-_build_scheduler = build_scheduler
+#: A core's step strategy: one service step, returning each completed
+#: message with its completion cycle in completion order.
+Step = Callable[[], list[tuple[Message, float]]]
 
 
 @dataclass
 class DriveStats:
-    """Raw outcome of :func:`drive`: latency samples plus work done."""
+    """Raw outcome of one drive: latency samples plus work done per core.
+
+    The per-core lists are in core order; a single-core drive has one
+    entry in each.
+    """
 
     latency: LatencyRecorder
-    completed: int
-    service_cycles: float
+    #: Completions attributed to each core.
+    per_core_completed: list[int]
+    #: Service cycles attributed to each core.
+    per_core_service_cycles: list[float]
+    #: Arrivals dispatched to each core.
+    per_core_dispatched: list[int]
+
+    @property
+    def completed(self) -> int:
+        """Completions over all cores."""
+        return sum(self.per_core_completed)
+
+    @property
+    def service_cycles(self) -> float:
+        """Service cycles over all cores."""
+        return sum(self.per_core_service_cycles)
+
+
+def scalar_step(scheduler: Scheduler) -> Step:
+    """The reference step strategy: an adapter over ``service_step()``."""
+
+    def step() -> list[tuple[Message, float]]:
+        return [
+            (completion.message, completion.completion_cycle)
+            for completion in scheduler.service_step()
+        ]
+
+    return step
+
+
+class _Core:
+    """One core of the drive loop: its scheduler, step and counters."""
+
+    __slots__ = (
+        "number", "scheduler", "cpu", "step", "track", "next_flush",
+        "completed", "service_cycles", "dispatched",
+    )
+
+    def __init__(
+        self,
+        number: int,
+        scheduler: Scheduler,
+        step: Step,
+        track: str,
+        next_flush: float | None,
+    ) -> None:
+        if scheduler.binding is None:
+            raise ConfigurationError("the drive loop needs machine-bound schedulers")
+        self.number = number
+        self.scheduler = scheduler
+        self.cpu = scheduler.binding.cpu
+        self.step = step
+        self.track = track
+        self.next_flush = next_flush
+        self.completed = 0
+        self.service_cycles = 0.0
+        self.dispatched = 0
+
+
+def _drive_cores(
+    schedulers: list[Scheduler],
+    steps: list[Step],
+    arrivals: list[tuple[float, Message]],
+    flush_period_cycles: float | None,
+    dispatch: DispatchPolicy | None = None,
+) -> DriveStats:
+    """The drive loop: a deterministic event merge over N cores' clocks.
+
+    The next arrival is admitted when its cycle is at or before the
+    earliest busy core's cycle: ``dispatch`` picks the core (core 0
+    without a policy), then that core's drop policy decides admission.
+    Otherwise the earliest busy core takes one step through its step
+    strategy, ties going to the lowest core index.  With one core no
+    scan is made, so each admission and each step costs O(1).
+
+    Observability: without ``dispatch`` the service-step spans, drop
+    and flush instants go on the ``scheduler`` track; with it they go
+    on ``core{i}/scheduler``, plus ``dispatch.*`` counters and one
+    instant per dispatch on the ``dispatch`` track.
+    """
+    if not schedulers:
+        raise ConfigurationError("the drive loop needs at least one core")
+    if flush_period_cycles is not None and flush_period_cycles <= 0:
+        raise ConfigurationError("cache-flush period must be positive")
+    cores = [
+        _Core(
+            number,
+            scheduler,
+            step,
+            "scheduler" if dispatch is None else f"core{number}/scheduler",
+            flush_period_cycles,
+        )
+        for number, (scheduler, step) in enumerate(zip(schedulers, steps))
+    ]
+    recorder = active_recorder()
+    num_cores = len(cores)
+    first = cores[0]
+    first_scheduler = first.scheduler
+    clock = first.cpu.clock
+    to_seconds = clock.cycles_to_seconds
+    cycles = [clock.seconds_to_cycles(time) for time, _ in arrivals]
+    total = len(cycles)
+    latency = LatencyRecorder()
+    record = latency.record
+    index = 0
+
+    while True:
+        # The earliest busy core, ties going to the lowest index; with
+        # one core there is nothing to scan.
+        if num_cores == 1:
+            core = first if first_scheduler.busy else None
+        else:
+            core = None
+            for candidate in cores:
+                if candidate.scheduler.busy and (
+                    core is None or candidate.cpu.cycles < core.cpu.cycles
+                ):
+                    core = candidate
+        if core is not None:
+            horizon = core.cpu.cycles
+        elif index < total:
+            horizon = cycles[index]
+        else:
+            break
+
+        # Admission events: every arrival at or before the earliest busy
+        # core's clock, dispatched first, then the core's drop policy.
+        # An admission to another core may make it the earliest busy
+        # one, so it ends the run of admissions and the scan is redone.
+        # Admissions to ``core`` leave its clock alone and never empty
+        # its queue (drop policies evict only to accept).
+        admitted_elsewhere = False
+        while index < total and cycles[index] <= horizon:
+            cycle = cycles[index]
+            message = arrivals[index][1]
+            index += 1
+            target = (
+                first
+                if dispatch is None
+                else cores[dispatch.select(message, num_cores) % num_cores]
+            )
+            scheduler = target.scheduler
+            admitted_elsewhere = target is not core
+            if admitted_elsewhere:
+                # Every busy core's clock is at or past the arrival, so
+                # this only moves an idle core's clock.
+                target.cpu.advance_to_cycle(cycle)
+            message.meta["arrival_cycle"] = cycle
+            drops_before = scheduler.drops
+            scheduler.enqueue_arrival(message)
+            target.dispatched += 1
+            if recorder is not None:
+                recorder.count("messages.arrivals")
+                if dispatch is not None:
+                    recorder.count(f"dispatch.core{target.number}.assigned")
+                    recorder.instant(
+                        "dispatch", dispatch.name, cycle,
+                        core=target.number, size=message.size,
+                    )
+                lost = scheduler.drops - drops_before
+                if lost:
+                    # Tail drop loses the new message; head drop evicts
+                    # older queued ones — either way, count every loss.
+                    recorder.count("messages.drops", float(lost))
+                    if dispatch is not None:
+                        recorder.count(
+                            f"dispatch.core{target.number}.drops", float(lost)
+                        )
+                    recorder.instant(
+                        target.track, "drop", target.cpu.cycles,
+                        size=message.size,
+                    )
+            if admitted_elsewhere:
+                break
+        if admitted_elsewhere:
+            continue
+
+        # Service event on the earliest busy core.
+        cpu = core.cpu
+        before = cpu.cycles
+        if recorder is None:
+            completions = core.step()
+        else:
+            handle = recorder.begin(
+                core.track,
+                "service_step",
+                before,
+                machine_counters(cpu),
+                pending_messages=core.scheduler.pending(),
+            )
+            completions = core.step()
+            handle.args["completions"] = len(completions)
+            recorder.end(handle, cpu.cycles)
+            recorder.count("scheduler.service_steps")
+            recorder.count("messages.completions", float(len(completions)))
+        completed = 0
+        for message, completion_cycle in completions:
+            arrival_cycle = message.meta.get("arrival_cycle")
+            if arrival_cycle is None:
+                continue
+            completed += 1
+            record(to_seconds(completion_cycle - arrival_cycle))
+        core.completed += completed
+        core.service_cycles += cpu.cycles - before
+        flush_at = core.next_flush
+        if flush_at is not None and cpu.cycles >= flush_at:
+            cpu.cold_start()
+            if recorder is not None:
+                recorder.count("faults.cache_flushes")
+                recorder.instant(core.track, "cache_flush", cpu.cycles)
+            while flush_at <= cpu.cycles:
+                flush_at += flush_period_cycles  # type: ignore[operator]
+            core.next_flush = flush_at
+
+    return DriveStats(
+        latency=latency,
+        per_core_completed=[core.completed for core in cores],
+        per_core_service_cycles=[core.service_cycles for core in cores],
+        per_core_dispatched=[core.dispatched for core in cores],
+    )
 
 
 def drive(
@@ -206,18 +431,13 @@ def drive(
     cache mid-run (statistics are preserved, so the extra misses show
     up in the results — that is the point).
 
-    ``engine`` selects the drive loop: ``"scalar"`` is this module's
-    reference loop; ``"vec"`` replays service steps through the
-    batch/columnar engine (:mod:`repro.sim.vec`), which is bit-identical
-    where supported and silently falls back to the scalar loop where
-    not (stateful layers, L2 hierarchies, self-conflicting placements,
-    span-keeping recorders).
+    ``engine`` selects the step strategy of the one-core drive loop:
+    ``"scalar"`` steps through ``scheduler.service_step()``; ``"vec"``
+    replays service steps through the batch/columnar engine
+    (:mod:`repro.sim.vec`), which is bit-identical where supported and
+    silently falls back to scalar steps where not (stateful layers, L2
+    hierarchies, self-conflicting placements, span-keeping recorders).
     """
-    binding = scheduler.binding
-    if binding is None:
-        raise ConfigurationError("drive() needs a machine-bound scheduler")
-    if flush_period_cycles is not None and flush_period_cycles <= 0:
-        raise ConfigurationError("cache-flush period must be positive")
     if engine not in ENGINE_NAMES:
         raise ConfigurationError(
             f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}"
@@ -228,77 +448,8 @@ def drive(
         outcome = try_drive_vec(scheduler, arrivals, flush_period_cycles)
         if outcome is not None:
             return outcome
-    recorder = active_recorder()
-    cpu = binding.cpu
-    clock = cpu.clock
-    next_flush = flush_period_cycles
-    pending = [
-        (clock.seconds_to_cycles(time), message) for time, message in arrivals
-    ]
-    latency = LatencyRecorder()
-    index = 0
-    completed = 0
-    service_cycles = 0.0
-    while index < len(pending) or scheduler.busy:
-        if not scheduler.busy:
-            if index >= len(pending):
-                break
-            cpu.advance_to_cycle(pending[index][0])
-        while index < len(pending) and pending[index][0] <= cpu.cycles:
-            cycle, message = pending[index]
-            message.meta["arrival_cycle"] = cycle
-            drops_before = scheduler.drops
-            scheduler.enqueue_arrival(message)
-            if recorder is not None:
-                recorder.count("messages.arrivals")
-                lost = scheduler.drops - drops_before
-                if lost:
-                    # Tail drop loses the new message; head drop evicts
-                    # older queued ones — either way, count every loss.
-                    recorder.count("messages.drops", float(lost))
-                    recorder.instant(
-                        "scheduler", "drop", cpu.cycles, size=message.size
-                    )
-            index += 1
-        if scheduler.busy:
-            before = cpu.cycles
-            handle = (
-                recorder.begin(
-                    "scheduler",
-                    "service_step",
-                    cpu.cycles,
-                    machine_counters(cpu),
-                    pending_messages=scheduler.pending(),
-                )
-                if recorder is not None
-                else None
-            )
-            completions = scheduler.service_step()
-            if recorder is not None and handle is not None:
-                handle.args["completions"] = len(completions)
-                recorder.end(handle, cpu.cycles)
-                recorder.count("scheduler.service_steps")
-                recorder.count("messages.completions", float(len(completions)))
-            for completion in completions:
-                arrival_cycle = completion.message.meta.get("arrival_cycle")
-                if arrival_cycle is None:
-                    continue
-                completed += 1
-                latency.record(
-                    clock.cycles_to_seconds(
-                        completion.completion_cycle - arrival_cycle
-                    )
-                )
-            service_cycles += cpu.cycles - before
-            if next_flush is not None and cpu.cycles >= next_flush:
-                cpu.cold_start()
-                if recorder is not None:
-                    recorder.count("faults.cache_flushes")
-                    recorder.instant("scheduler", "cache_flush", cpu.cycles)
-                while next_flush <= cpu.cycles:
-                    next_flush += flush_period_cycles
-    return DriveStats(
-        latency=latency, completed=completed, service_cycles=service_cycles
+    return _drive_cores(
+        [scheduler], [scalar_step(scheduler)], arrivals, flush_period_cycles
     )
 
 
@@ -315,8 +466,6 @@ def run_simulation(
     """
     config = config or SimulationConfig()
     scheduler = build_scheduler(config, seed)
-    assert scheduler.binding is not None
-
     stream = arrivals if arrivals is not None else source.arrival_list(config.duration)
     timestamped = [
         (a.time, Message(size=a.size, arrival_time=a.time)) for a in stream
@@ -327,40 +476,36 @@ def run_simulation(
         flush_period_cycles=config.flush_period_cycles,
         engine=config.engine,
     )
-    return assemble_run_result(scheduler, outcome, source, stream, config)
+    return assemble_run_result([scheduler], outcome, source, stream, config)
 
 
 def assemble_run_result(
-    scheduler: Scheduler,
+    cores: list[Scheduler],
     outcome: DriveStats,
     source: TrafficSource,
     stream: list[Arrival],
     config: SimulationConfig,
 ) -> RunResult:
-    """Reduce one driven run to its :class:`RunResult`.
+    """Reduce one driven run over one or more cores to its :class:`RunResult`.
 
-    Shared by :func:`run_simulation` and the flow-lookup runner
-    (:mod:`repro.flows.runner`), so both report misses, cycles, and
-    batching with exactly the same accounting.
+    Shared by :func:`run_simulation`, the multi-core runner
+    (:mod:`repro.sim.multicore`, which passes its ``MultiCoreConfig``:
+    only ``scheduler`` and ``duration`` are read) and the flow-lookup
+    and gossip runners, so all report misses, cycles and batching with
+    exactly the same accounting: counts summed over cores, divided by
+    total completions.
     """
-    binding = scheduler.binding
-    assert binding is not None
-    cpu = binding.cpu
-    latency = outcome.latency
+    cpus = [scheduler.binding.cpu for scheduler in cores]  # type: ignore[union-attr]
     completed = outcome.completed
-    service_cycles = outcome.service_cycles
-
-    imisses = cpu.icache_misses
-    dmisses = cpu.dcache_misses
+    imisses = sum(cpu.icache_misses for cpu in cpus)
+    dmisses = sum(cpu.dcache_misses for cpu in cpus)
     # Explicit length checks: ``batch_sizes`` may be a numpy array from
     # a future scheduler (bare truthiness raises "truth value of an
     # array is ambiguous") and ``stream`` may be any sequence type.
-    batch_sizes = getattr(scheduler, "batch_sizes", None)
-    mean_batch = (
-        float(np.mean(batch_sizes))
-        if batch_sizes is not None and len(batch_sizes) > 0
-        else 1.0
-    )
+    batch_sizes: list[int] = []
+    for scheduler in cores:
+        batch_sizes.extend(getattr(scheduler, "batch_sizes", []))
+    mean_batch = float(np.mean(batch_sizes)) if len(batch_sizes) > 0 else 1.0
     rate = getattr(source, "rate", None)
     if rate is None:
         rate = len(stream) / config.duration if len(stream) > 0 else 0.0
@@ -368,15 +513,15 @@ def assemble_run_result(
     return RunResult(
         scheduler=config.scheduler,
         arrival_rate=float(rate),
-        offered=scheduler.arrivals,
+        offered=sum(scheduler.arrivals for scheduler in cores),
         completed=completed,
-        dropped=scheduler.drops,
+        dropped=sum(scheduler.drops for scheduler in cores),
         duration=config.duration,
-        latency=latency.summary(),
+        latency=outcome.latency.summary(),
         misses=MissesPerMessage(
             instruction=imisses / divisor, data=dmisses / divisor
         ),
-        cycles_per_message=service_cycles / divisor,
+        cycles_per_message=outcome.service_cycles / divisor,
         mean_batch_size=mean_batch,
     )
 

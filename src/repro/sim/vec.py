@@ -1,18 +1,22 @@
-"""The vectorized (columnar) drive-loop engine.
+"""The vectorized (columnar) step strategy of the drive loop.
 
-:func:`repro.sim.runner.drive` spends essentially all of its time in
-the scalar service path: one Python-level call per (layer, message)
-invocation, each performing a handful of small numpy cache probes and
-float additions.  This module replaces a whole service step with a
+With scalar steps, :func:`repro.sim.runner.drive` spends essentially
+all of its time in the service path: one Python-level call per
+(layer, message) invocation, each performing a handful of small numpy
+cache probes and float additions.  This module replaces a whole service step with a
 constant number of numpy operations, while producing **bit-identical**
 results — same latency samples in the same order, same cache statistics,
 same obs counters, same drop decisions.
 
 How it works
 ------------
-*Columnar arrivals.*  The timestamped arrival stream becomes one numpy
-structured array (:data:`ARRIVAL_DTYPE`); admission scans an index over
-it instead of destructuring tuples.
+*One loop, another step.*  The engine is a step strategy, not a loop:
+:func:`try_drive_vec` hands :meth:`_VecEngine.step` to the shared drive
+loop (:mod:`repro.sim.runner`), which does admission, drops, obs
+counters, flushes and latency exactly as it does for scalar steps.
+:func:`arrival_table` is the columnar form (:data:`ARRIVAL_DTYPE`) of a
+timestamped arrival stream; its cycle column is bit-identical to the
+loop's per-arrival conversion.
 
 *Static step templates.*  For a given scheduler kind, the sequence of
 (layer, message-slot) invocations a service step performs — and hence
@@ -36,7 +40,7 @@ not merely close.
 Equivalence boundaries
 ----------------------
 The engine silently declines (:func:`try_drive_vec` returns ``None``,
-the caller falls back to the scalar loop) whenever exact replay is not
+the caller falls back to scalar steps) whenever exact replay is not
 guaranteed: unbound schedulers, bindings carrying a flow-lookup cache
 (:mod:`repro.flows` charging is a scalar-path feature), non-passthrough
 layers (stateful stacks), an L2 hierarchy, layers whose code working
@@ -63,14 +67,12 @@ from ..core.scheduler import (
     Scheduler,
     take_batch,
 )
-from ..errors import ConfigurationError
 from ..machine.executor import FootprintExecutor, MessageBuffer
-from ..obs.runtime import active_recorder, machine_counters
-from .runner import DriveStats
-from .stats import LatencyRecorder
+from ..obs.runtime import active_recorder
+from .runner import DriveStats, _drive_cores
 
 #: Columnar arrival stream: one row per message, CPU-cycle timestamp
-#: plus message size (the two columns admission and templating need).
+#: plus message size.
 ARRIVAL_DTYPE = np.dtype([("cycle", np.float64), ("size", np.int64)])
 
 #: Cost-addend slots per invocation in a step template (istall, layer
@@ -82,7 +84,7 @@ def arrival_table(arrivals: list[tuple[float, "Message"]], hz: float) -> np.ndar
     """Build the columnar arrival table from timestamped messages.
 
     ``cycle`` is ``time * hz`` computed elementwise in float64 —
-    bit-identical to the scalar path's per-arrival
+    bit-identical to the drive loop's per-arrival
     :meth:`repro.units.Clock.seconds_to_cycles`.
     """
     table = np.zeros(len(arrivals), dtype=ARRIVAL_DTYPE)
@@ -328,7 +330,7 @@ def vec_supported(scheduler: Scheduler) -> bool:
     if binding.flow_lookup is not None:
         # Flow-lookup charging (repro.flows) happens inside the scalar
         # service path; the static step templates do not model it, so
-        # a lookup-charged run must take the scalar loop.
+        # a lookup-charged run must take scalar steps.
         return False
     if binding.spec.l2 is not None:
         return False
@@ -381,12 +383,13 @@ def try_drive_vec(
 ) -> DriveStats | None:
     """Vectorized twin of :func:`repro.sim.runner.drive`.
 
-    Returns ``None`` (caller falls back to the scalar loop) when the
+    Returns ``None`` (caller falls back to scalar steps) when the
     configuration is outside the engine's exact-replay envelope; see
-    the module docstring for the boundaries.  When it does run, the
-    returned :class:`~repro.sim.runner.DriveStats`, all cache/CPU
-    statistics, and all obs counters are bit-identical to the scalar
-    path's.
+    the module docstring for the boundaries.  Otherwise runs the shared
+    one-core drive loop with :meth:`_VecEngine.step` as its step
+    strategy, so the returned :class:`~repro.sim.runner.DriveStats`,
+    all cache/CPU statistics, and all obs counters are bit-identical
+    to the scalar path's.
     """
     recorder = active_recorder()
     if recorder is not None and recorder.keep_spans:
@@ -396,73 +399,4 @@ def try_drive_vec(
     if not vec_supported(scheduler):
         return None
     engine = _VecEngine(scheduler, _scheduler_kind(scheduler) or "")
-    if flush_period_cycles is not None and flush_period_cycles <= 0:
-        raise ConfigurationError("cache-flush period must be positive")
-    cpu = engine.cpu
-    clock = cpu.clock
-    next_flush = flush_period_cycles
-    table = arrival_table(arrivals, clock.hz)
-    cycles_column = table["cycle"]
-    messages = [message for _, message in arrivals]
-    latency = LatencyRecorder()
-    index = 0
-    total = len(messages)
-    completed = 0
-    service_cycles = 0.0
-    while index < total or scheduler.busy:
-        if not scheduler.busy:
-            if index >= total:
-                break
-            cpu.advance_to_cycle(float(cycles_column[index]))
-        while index < total and cycles_column[index] <= cpu.cycles:
-            message = messages[index]
-            message.meta["arrival_cycle"] = float(cycles_column[index])
-            drops_before = scheduler.drops
-            scheduler.enqueue_arrival(message)
-            if recorder is not None:
-                recorder.count("messages.arrivals")
-                lost = scheduler.drops - drops_before
-                if lost:
-                    recorder.count("messages.drops", float(lost))
-                    recorder.instant(
-                        "scheduler", "drop", cpu.cycles, size=message.size
-                    )
-            index += 1
-        if scheduler.busy:
-            before = cpu.cycles
-            handle = (
-                recorder.begin(
-                    "scheduler",
-                    "service_step",
-                    cpu.cycles,
-                    machine_counters(cpu),
-                    pending_messages=scheduler.pending(),
-                )
-                if recorder is not None
-                else None
-            )
-            completions = engine.step()
-            if recorder is not None and handle is not None:
-                handle.args["completions"] = len(completions)
-                recorder.end(handle, cpu.cycles)
-                recorder.count("scheduler.service_steps")
-                recorder.count("messages.completions", float(len(completions)))
-            for message, completion_cycle in completions:
-                arrival_cycle = message.meta.get("arrival_cycle")
-                if arrival_cycle is None:
-                    continue
-                completed += 1
-                latency.record(
-                    clock.cycles_to_seconds(completion_cycle - arrival_cycle)
-                )
-            service_cycles += cpu.cycles - before
-            if next_flush is not None and cpu.cycles >= next_flush:
-                cpu.cold_start()
-                if recorder is not None:
-                    recorder.count("faults.cache_flushes")
-                    recorder.instant("scheduler", "cache_flush", cpu.cycles)
-                while next_flush <= cpu.cycles:
-                    next_flush += flush_period_cycles
-    return DriveStats(
-        latency=latency, completed=completed, service_cycles=service_cycles
-    )
+    return _drive_cores([scheduler], [engine.step], arrivals, flush_period_cycles)

@@ -11,6 +11,8 @@ share once there are at least 32 flows per core).
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,10 +30,12 @@ from repro.core.dispatch import (
     stable_hash,
 )
 from repro.core.layer import Message
+from repro.core.overload import DROP_POLICIES
 from repro.errors import ConfigurationError
 from repro.experiments import multicore as experiment
 from repro.harness import ResultCache, run_experiment
 from repro.machine.multicore import MultiCoreMachine, MultiCoreSpec
+from repro.obs.runtime import Recorder, recording
 from repro.sim.multicore import (
     MultiCoreConfig,
     MultiCoreRunResult,
@@ -42,6 +46,21 @@ from repro.sim.runner import SimulationConfig, run_simulation
 from repro.traffic.poisson import PoissonSource
 
 ALL_SCHEDULERS = ("conventional", "ilp", "ldlp", "grouped")
+
+#: Every drop policy, each paired with a dispatch policy so that every
+#: dispatch policy is exercised too.
+POLICY_DISPATCH = list(
+    zip(sorted(DROP_POLICIES), itertools.cycle(sorted(DISPATCH_POLICIES)))
+)
+
+#: Obs counters both the single-core and the multi-core drive emit.
+SHARED_COUNTERS = (
+    "messages.arrivals",
+    "messages.drops",
+    "messages.completions",
+    "scheduler.service_steps",
+    "faults.cache_flushes",
+)
 
 
 def flow_message(flow: int, app_class: int | None = None) -> Message:
@@ -216,6 +235,46 @@ class TestSingleCoreEquivalence:
             seed=7,
         )
         assert multi.aggregate.to_dict() == base.to_dict()
+
+    @pytest.mark.parametrize("scheduler", ALL_SCHEDULERS)
+    @pytest.mark.parametrize("policy,dispatch", POLICY_DISPATCH)
+    @pytest.mark.parametrize("flush", [None, 150_000])
+    @pytest.mark.parametrize("engine", ["scalar", "vec"])
+    def test_one_core_reproduces_every_drop_flush_and_engine(
+        self, scheduler, policy, dispatch, flush, engine
+    ):
+        """Under overload (drops) and cache flushes, a one-core run
+        reproduces ``run_simulation`` on either engine — result and
+        shared obs counters both."""
+        shape = dict(
+            scheduler=scheduler,
+            duration=0.02,
+            input_limit=60,
+            drop_policy=policy,
+            flush_period_cycles=flush,
+        )
+        base_recorder = Recorder(keep_spans=False)
+        with recording(base_recorder):
+            base = run_simulation(
+                PoissonSource(14000.0, size=552, rng=7),
+                SimulationConfig(engine=engine, **shape),
+                seed=7,
+            )
+        multi_recorder = Recorder(keep_spans=False)
+        with recording(multi_recorder):
+            multi = run_multicore(
+                PoissonSource(14000.0, size=552, rng=7),
+                MultiCoreConfig(dispatch=dispatch, num_cores=1, **shape),
+                seed=7,
+            )
+        assert multi.aggregate.to_dict() == base.to_dict()
+        assert base.dropped > 0
+        for name in SHARED_COUNTERS:
+            assert multi_recorder.counters.get(name) == (
+                base_recorder.counters.get(name)
+            ), name
+        flushes = base_recorder.counters.get("faults.cache_flushes")
+        assert (flushes > 0) == (flush is not None)
 
 
 # ----------------------------------------------------------------------

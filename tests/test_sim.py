@@ -1,14 +1,11 @@
-"""Tests for repro.sim: events, engine, queues, stats, runner."""
+"""Tests for repro.sim: stats, runner."""
 
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim import (
-    BoundedQueue,
-    EventQueue,
     LatencyRecorder,
     SimulationConfig,
-    Simulator,
     build_paper_stack,
     compare_schedulers,
     merge_results,
@@ -16,107 +13,6 @@ from repro.sim import (
 )
 from repro.sim.stats import MissesPerMessage, RunResult
 from repro.traffic import DeterministicSource, PoissonSource
-
-
-class TestEventQueue:
-    def test_time_ordering(self):
-        queue = EventQueue()
-        seen = []
-        queue.push(2.0, seen.append, "b")
-        queue.push(1.0, seen.append, "a")
-        queue.push(3.0, seen.append, "c")
-        while len(queue):
-            event = queue.pop()
-            event.handler(event.payload)
-        assert seen == ["a", "b", "c"]
-
-    def test_tie_break_by_schedule_order(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda p: None, "first")
-        queue.push(1.0, lambda p: None, "second")
-        assert queue.pop().payload == "first"
-
-    def test_cancel(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda p: None)
-        queue.push(2.0, lambda p: None, "keep")
-        EventQueue.cancel(event)
-        assert len(queue) == 1
-        assert queue.pop().payload == "keep"
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(SimulationError):
-            EventQueue().pop()
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(SimulationError):
-            EventQueue().push(-1.0, lambda p: None)
-
-
-class TestSimulator:
-    def test_run_until(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, fired.append, 1)
-        sim.schedule(5.0, fired.append, 5)
-        sim.run(until=2.0)
-        assert fired == [1]
-        assert sim.now == 2.0
-
-    def test_handlers_can_schedule(self):
-        sim = Simulator()
-        fired = []
-
-        def chain(n):
-            fired.append(n)
-            if n < 3:
-                sim.schedule(1.0, chain, n + 1)
-
-        sim.schedule(0.0, chain, 0)
-        sim.run()
-        assert fired == [0, 1, 2, 3]
-        assert sim.now == 3.0
-
-    def test_schedule_in_past_rejected(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda p: None)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.schedule_at(0.5, lambda p: None)
-
-    def test_step(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda p: None)
-        assert sim.step() is True
-        assert sim.step() is False
-
-
-class TestBoundedQueue:
-    def test_offer_and_take(self):
-        queue = BoundedQueue(capacity=2)
-        assert queue.offer(1)
-        assert queue.offer(2)
-        assert not queue.offer(3)
-        assert queue.drops == 1
-        assert queue.take() == 1
-
-    def test_drain(self):
-        queue = BoundedQueue(capacity=10)
-        for index in range(5):
-            queue.offer(index)
-        assert queue.drain(3) == [0, 1, 2]
-        assert queue.drain() == [3, 4]
-
-    def test_peak_depth(self):
-        queue = BoundedQueue(capacity=10)
-        for index in range(4):
-            queue.offer(index)
-        queue.take()
-        assert queue.peak_depth == 4
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ConfigurationError):
-            BoundedQueue(capacity=0)
 
 
 class TestLatencyRecorder:

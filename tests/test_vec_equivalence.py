@@ -1,6 +1,6 @@
 """Differential harness: the vec engine must equal the scalar engine.
 
-The vectorized drive loop (:mod:`repro.sim.vec`) is only allowed to be
+The vectorized step strategy (:mod:`repro.sim.vec`) is only allowed to be
 *fast*; it is never allowed to be *different*.  These tests enforce the
 contract at three levels:
 
@@ -290,7 +290,7 @@ def test_span_keeping_recorder_uses_scalar_path():
 def test_latency_sample_order_is_identical():
     """Not just summary statistics: the raw per-completion latency
     sample sequences match, which pins completion *order*."""
-    from repro.sim.runner import _build_scheduler, drive
+    from repro.sim.runner import build_scheduler, drive
     from repro.core.layer import Message
 
     for scheduler_name in SCHEDULER_NAMES:
@@ -298,7 +298,7 @@ def test_latency_sample_order_is_identical():
         arrivals = PoissonSource(12000.0, rng=7).arrival_list(config.duration)
         samples = {}
         for engine in ENGINE_NAMES:
-            scheduler = _build_scheduler(config, seed=7)
+            scheduler = build_scheduler(config, seed=7)
             timestamped = [
                 (a.time, Message(size=a.size, arrival_time=a.time))
                 for a in arrivals
