@@ -67,8 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "check every experiment's sweep-point import closure against "
-            "its declared cache sources (HARN001) and dispatch-policy "
-            "sweep coverage (HARN002)"
+            "its declared cache sources (HARN001) and registry sweep "
+            "coverage (HARN002-HARN004)"
         ),
     )
     parser.add_argument(

@@ -42,7 +42,9 @@ full — its code demonstrably feeds the point result.
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
+from typing import NamedTuple
 
 import repro
 
@@ -240,156 +242,93 @@ def check_spec(spec: SweepSpec) -> list[Finding]:
     ]
 
 
-def check_dispatch_coverage() -> list[Finding]:
-    """HARN002 findings: dispatch policies no multicore sweep exercises.
+class CoverageRule(NamedTuple):
+    """One registry whose every entry some sweep point must exercise."""
 
-    The ``multicore`` experiment's golden gate only pins the behaviour
-    of dispatch policies its sweep actually runs.  A policy registered
-    in :data:`repro.core.dispatch.DISPATCH_POLICIES` but absent from
-    every scale's sweep points could change behaviour without tripping
-    any golden — so every registered policy must appear as the
-    ``dispatch`` parameter of at least one point at some scale.
+    rule_id: str
+    #: Dotted path of the registry mapping, ``module.ATTRIBUTE``.
+    registry: str
+    experiment: str
+    #: The sweep-point parameter that names a registry entry.
+    param: str
+    #: The finding's ``details`` key for the unexercised entry.
+    key: str
+    noun: str
+    #: What of the entry the golden gate would leave unpinned.
+    pins: str
+
+
+#: The registry sweep-coverage rules.  An experiment's golden gate only
+#: pins the registry entries its sweep actually runs, so an entry
+#: absent from every scale's points could change without tripping any
+#: golden.
+COVERAGE_RULES = (
+    CoverageRule("HARN002", "repro.core.dispatch.DISPATCH_POLICIES",
+                 "multicore", "dispatch", "policy", "dispatch policy",
+                 "behaviour"),
+    CoverageRule("HARN003", "repro.flows.lookup.FLOW_CACHE_ORGS",
+                 "flows", "organization", "organization",
+                 "flow-cache organization", "behaviour"),
+    CoverageRule("HARN004", "repro.gossip.wire.FRAMING_MODES",
+                 "gossip", "framing", "framing", "framing mode",
+                 "wire layout"),
+)
+
+
+def check_registry_coverage() -> list[Finding]:
+    """HARN002-HARN004 findings: registry entries no sweep exercises.
+
+    For each :data:`COVERAGE_RULES` row, every entry of the registry
+    must appear as the row's parameter of at least one sweep point of
+    its experiment at some scale.  Registries are looked up when the
+    check runs, so a registration made after import is checked too.
     """
-    from ..core.dispatch import DISPATCH_POLICIES
     from ..harness.registry import get_spec
 
-    spec = get_spec("multicore")
-    exercised: set[str] = set()
-    for scale in SCALES:
-        try:
-            points = spec.points_for(scale)
-        except (KeyError, ConfigurationError):
-            continue
-        for point in points:
-            name = point.params.get("dispatch")
-            if name is not None:
-                exercised.add(str(name))
-    missing = sorted(set(DISPATCH_POLICIES) - exercised)
-    return [
-        Finding(
-            rule_id="HARN002",
-            message=(
-                f"dispatch policy {name!r} is registered in "
-                f"repro.core.dispatch.DISPATCH_POLICIES but exercised by "
-                f"no multicore sweep point at any scale — its behaviour "
-                f"is unpinned by the golden gate "
-                f"(exercised: {', '.join(sorted(exercised)) or 'none'})"
-            ),
-            target="experiment:multicore",
-            details={
-                "policy": name,
-                "exercised": sorted(exercised),
-            },
+    findings: list[Finding] = []
+    for rule in COVERAGE_RULES:
+        module, _, attribute = rule.registry.rpartition(".")
+        registry = getattr(importlib.import_module(module), attribute)
+        spec = get_spec(rule.experiment)
+        exercised: set[str] = set()
+        for scale in SCALES:
+            try:
+                points = spec.points_for(scale)
+            except (KeyError, ConfigurationError):
+                continue
+            for point in points:
+                name = point.params.get(rule.param)
+                if name is not None:
+                    exercised.add(str(name))
+        findings.extend(
+            Finding(
+                rule_id=rule.rule_id,
+                message=(
+                    f"{rule.noun} {name!r} is registered in "
+                    f"{rule.registry} but exercised by no "
+                    f"{rule.experiment} sweep point at any scale — its "
+                    f"{rule.pins} is unpinned by the golden gate "
+                    f"(exercised: {', '.join(sorted(exercised)) or 'none'})"
+                ),
+                target=f"experiment:{rule.experiment}",
+                details={rule.key: name, "exercised": sorted(exercised)},
+            )
+            for name in sorted(set(registry) - exercised)
         )
-        for name in missing
-    ]
-
-
-def check_flow_org_coverage() -> list[Finding]:
-    """HARN003 findings: flow-cache organizations no flows sweep runs.
-
-    The mirror of HARN002 for the flow-lookup layer: every cache
-    organization registered in
-    :data:`repro.flows.lookup.FLOW_CACHE_ORGS` must appear as the
-    ``organization`` parameter of at least one ``flows`` sweep point at
-    some scale, or its replacement behaviour could change without
-    tripping any golden.
-    """
-    from ..flows.lookup import FLOW_CACHE_ORGS
-    from ..harness.registry import get_spec
-
-    spec = get_spec("flows")
-    exercised: set[str] = set()
-    for scale in SCALES:
-        try:
-            points = spec.points_for(scale)
-        except (KeyError, ConfigurationError):
-            continue
-        for point in points:
-            name = point.params.get("organization")
-            if name is not None:
-                exercised.add(str(name))
-    missing = sorted(set(FLOW_CACHE_ORGS) - exercised)
-    return [
-        Finding(
-            rule_id="HARN003",
-            message=(
-                f"flow-cache organization {name!r} is registered in "
-                f"repro.flows.lookup.FLOW_CACHE_ORGS but exercised by "
-                f"no flows sweep point at any scale — its behaviour "
-                f"is unpinned by the golden gate "
-                f"(exercised: {', '.join(sorted(exercised)) or 'none'})"
-            ),
-            target="experiment:flows",
-            details={
-                "organization": name,
-                "exercised": sorted(exercised),
-            },
-        )
-        for name in missing
-    ]
-
-
-def check_framing_coverage() -> list[Finding]:
-    """HARN004 findings: framing modes no gossip sweep point exercises.
-
-    The wire-protocol twin of HARN002/HARN003: every framing mode
-    registered in :data:`repro.gossip.wire.FRAMING_MODES` must appear
-    as the ``framing`` parameter of at least one ``gossip`` sweep point
-    at some scale, or its header layout could change without tripping
-    any golden — and the session-vs-sessionless savings pin would
-    silently stop comparing anything.
-    """
-    from ..gossip.wire import FRAMING_MODES
-    from ..harness.registry import get_spec
-
-    spec = get_spec("gossip")
-    exercised: set[str] = set()
-    for scale in SCALES:
-        try:
-            points = spec.points_for(scale)
-        except (KeyError, ConfigurationError):
-            continue
-        for point in points:
-            name = point.params.get("framing")
-            if name is not None:
-                exercised.add(str(name))
-    missing = sorted(set(FRAMING_MODES) - exercised)
-    return [
-        Finding(
-            rule_id="HARN004",
-            message=(
-                f"framing mode {name!r} is registered in "
-                f"repro.gossip.wire.FRAMING_MODES but exercised by "
-                f"no gossip sweep point at any scale — its wire layout "
-                f"is unpinned by the golden gate "
-                f"(exercised: {', '.join(sorted(exercised)) or 'none'})"
-            ),
-            target="experiment:gossip",
-            details={
-                "framing": name,
-                "exercised": sorted(exercised),
-            },
-        )
-        for name in missing
-    ]
+    return findings
 
 
 def check_all_specs() -> list[Finding]:
     """HARN findings across every registered experiment.
 
-    HARN001 (undeclared cache sources) for each spec, plus HARN002
-    (dispatch-policy sweep coverage) for the multicore experiment,
-    HARN003 (flow-cache-organization sweep coverage) for the flows
-    experiment, and HARN004 (framing-mode sweep coverage) for the
-    gossip experiment.
+    HARN001 (undeclared cache sources) for each spec, plus the
+    registry sweep-coverage rules HARN002-HARN004
+    (:func:`check_registry_coverage`).
     """
     from ..harness.registry import all_specs
 
     findings: list[Finding] = []
     for spec in all_specs():
         findings.extend(check_spec(spec))
-    findings.extend(check_dispatch_coverage())
-    findings.extend(check_flow_org_coverage())
-    findings.extend(check_framing_coverage())
+    findings.extend(check_registry_coverage())
     return findings

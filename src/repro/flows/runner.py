@@ -20,7 +20,7 @@ loop and both engine passes produce byte-identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, TypeVar
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from ..sim.runner import (
     build_scheduler,
     drive,
 )
-from ..sim.stats import RunResult, merge_results
+from ..sim.stats import ResultRecord, RunResult, merge_results, sum_records
 from ..traffic.base import Arrival, TrafficSource
 from ..traffic.onoff import ParetoOnOffSource
 from ..traffic.poisson import PoissonSource
@@ -42,14 +42,18 @@ from .lookup import FlowCacheSpec
 
 
 @dataclass(frozen=True)
-class FlowRunResult:
+class FlowRunResult(ResultRecord):
     """One flow-charged run: the standard result plus lookup accounting.
 
     ``lookups`` counts lookups actually performed (after per-batch
     dedup); ``demand`` counts the lookups messages would have performed
     without batching, so ``lookups / demand`` is the batch-amortization
     factor and ``misses / completed`` is the headline
-    lookup-misses-per-message the experiment pins.
+    lookup-misses-per-message the experiment pins.  ``untagged`` counts
+    table walks by messages with no FLOW_KEY meta: always zero here,
+    since :func:`run_flow_simulation` tags every message, but gossip's
+    control datagrams produce them
+    (:class:`repro.gossip.runner.GossipRunResult` extends this type).
     """
 
     run: RunResult
@@ -58,62 +62,29 @@ class FlowRunResult:
     hits: int
     misses: int
     evictions: int
-    #: Table walks by untagged messages (no FLOW_KEY meta at all);
-    #: always zero here — run_flow_simulation tags every message — but
-    #: carried so gossip's mixed control/data runs share this type.
-    untagged: int = 0
+    untagged: int
 
     @property
     def hit_ratio(self) -> float:
-        """Fraction of performed lookups served from the cache."""
-        if self.lookups == 0:
+        """Fraction of *tagged* lookups served from the cache."""
+        performed = self.lookups - self.untagged
+        if performed == 0:
             return float("nan")
-        return self.hits / self.lookups
+        return self.hits / performed
 
     @property
     def lookup_misses_per_message(self) -> float:
         """Full table walks per completed message."""
         return self.misses / max(self.run.completed, 1)
 
-    def to_dict(self) -> dict:
-        """JSON-serializable form (harness result cache)."""
-        return {
-            "run": self.run.to_dict(),
-            "lookups": self.lookups,
-            "demand": self.demand,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "untagged": self.untagged,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FlowRunResult":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            run=RunResult.from_dict(data["run"]),
-            lookups=int(data["lookups"]),
-            demand=int(data["demand"]),
-            hits=int(data["hits"]),
-            misses=int(data["misses"]),
-            evictions=int(data["evictions"]),
-            # Absent in pre-gossip cached results; they had no way to
-            # produce untagged walks.
-            untagged=int(data.get("untagged", 0)),
-        )
+F = TypeVar("F", bound=FlowRunResult)
 
 
-def merge_flow_results(results: list[FlowRunResult]) -> FlowRunResult:
-    """Merge per-seed runs: averaged run stats, summed lookup counters."""
-    return FlowRunResult(
-        run=merge_results([result.run for result in results]),
-        lookups=sum(result.lookups for result in results),
-        demand=sum(result.demand for result in results),
-        hits=sum(result.hits for result in results),
-        misses=sum(result.misses for result in results),
-        evictions=sum(result.evictions for result in results),
-        untagged=sum(result.untagged for result in results),
-    )
+def merge_flow_results(results: list[F]) -> F:
+    """Merge per-seed runs of one result type (flows or a subclass):
+    averaged run stats, every other field summed."""
+    return sum_records(results, run=merge_results([r.run for r in results]))
 
 
 def run_flow_simulation(

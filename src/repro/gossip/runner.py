@@ -29,36 +29,30 @@ import numpy as np
 from ..core.dispatch import APP_CLASS_KEY, FLOW_KEY
 from ..core.layer import Message
 from ..flows.lookup import FlowCacheSpec
+from ..flows.runner import FlowRunResult, merge_flow_results
 from ..sim.runner import (
     SimulationConfig,
     assemble_run_result,
     build_scheduler,
     drive,
 )
-from ..sim.stats import RunResult, merge_results
 from .fleet import GossipFleetSource, GossipFleetSpec
 from .wire import CONTROL_KINDS
 
 
 @dataclass(frozen=True)
-class GossipRunResult:
-    """One gossip run: standard result + lookup + wire accounting.
+class GossipRunResult(FlowRunResult):
+    """One gossip run: a flow-charged result plus wire accounting.
 
+    The run and lookup fields are inherited from
+    :class:`repro.flows.runner.FlowRunResult`; here ``untagged`` counts
+    the control-datagram table walks that have no cacheable destination.
     ``datagrams`` / ``messages`` / ``header_bytes`` / ``wire_bytes``
     total over the *offered* stream (a pure function of the fleet spec,
     independent of drops), so the header-bytes/msg headline compares
-    framing modes on identical traffic.  The lookup counters mirror
-    :class:`repro.flows.runner.FlowRunResult`, plus ``untagged`` — the
-    control-datagram table walks that have no cacheable destination.
+    framing modes on identical traffic.
     """
 
-    run: RunResult
-    lookups: int
-    demand: int
-    hits: int
-    misses: int
-    evictions: int
-    untagged: int
     datagrams: int
     messages: int
     header_bytes: int
@@ -73,69 +67,6 @@ class GossipRunResult:
     def wire_bytes_per_message(self) -> float:
         """Total wire bytes per logical message offered."""
         return self.wire_bytes / max(self.messages, 1)
-
-    @property
-    def lookup_misses_per_message(self) -> float:
-        """Cached-lookup table walks per completed datagram."""
-        return self.misses / max(self.run.completed, 1)
-
-    @property
-    def hit_ratio(self) -> float:
-        """Fraction of *tagged* lookups served from the cache."""
-        performed = self.lookups - self.untagged
-        if performed == 0:
-            return float("nan")
-        return self.hits / performed
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (harness result cache)."""
-        return {
-            "run": self.run.to_dict(),
-            "lookups": self.lookups,
-            "demand": self.demand,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "untagged": self.untagged,
-            "datagrams": self.datagrams,
-            "messages": self.messages,
-            "header_bytes": self.header_bytes,
-            "wire_bytes": self.wire_bytes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GossipRunResult":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            run=RunResult.from_dict(data["run"]),
-            lookups=int(data["lookups"]),
-            demand=int(data["demand"]),
-            hits=int(data["hits"]),
-            misses=int(data["misses"]),
-            evictions=int(data["evictions"]),
-            untagged=int(data["untagged"]),
-            datagrams=int(data["datagrams"]),
-            messages=int(data["messages"]),
-            header_bytes=int(data["header_bytes"]),
-            wire_bytes=int(data["wire_bytes"]),
-        )
-
-
-def merge_gossip_results(results: list[GossipRunResult]) -> GossipRunResult:
-    """Merge per-seed runs: averaged run stats, summed counters."""
-    return GossipRunResult(
-        run=merge_results([result.run for result in results]),
-        lookups=sum(result.lookups for result in results),
-        demand=sum(result.demand for result in results),
-        hits=sum(result.hits for result in results),
-        misses=sum(result.misses for result in results),
-        evictions=sum(result.evictions for result in results),
-        untagged=sum(result.untagged for result in results),
-        datagrams=sum(result.datagrams for result in results),
-        messages=sum(result.messages for result in results),
-        header_bytes=sum(result.header_bytes for result in results),
-        wire_bytes=sum(result.wire_bytes for result in results),
-    )
 
 
 def run_gossip_simulation(
@@ -260,7 +191,7 @@ def gossip_point(
         if run.offered != run.completed + run.dropped:
             violations += 1
         results.append(result)
-    merged = merge_gossip_results(results)
+    merged = merge_flow_results(results)
     return {
         "result": merged.to_dict(),
         "framing": framing,

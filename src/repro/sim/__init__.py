@@ -10,7 +10,6 @@ from .multicore import (
     merge_multicore_results,
     multicore_point,
     run_multicore,
-    run_multicore_averaged,
 )
 from .runner import (
     ComparisonResult,
@@ -31,7 +30,7 @@ from .stats import (
     RunResult,
     merge_results,
 )
-from .vec import arrival_table, try_drive_vec, vec_supported
+from .vec import try_drive_vec, vec_supported
 
 __all__ = [
     "CoreStats",
@@ -40,7 +39,6 @@ __all__ = [
     "drive_multicore",
     "ComparisonResult",
     "ENGINE_NAMES",
-    "arrival_table",
     "LatencyRecorder",
     "LatencySummary",
     "MissesPerMessage",
@@ -56,7 +54,6 @@ __all__ = [
     "multicore_point",
     "run_averaged",
     "run_multicore",
-    "run_multicore_averaged",
     "run_simulation",
     "try_drive_vec",
     "vec_supported",

@@ -52,7 +52,7 @@ from .runner import (
     build_scheduler,
     scalar_step,
 )
-from .stats import RunResult, merge_results
+from .stats import ResultRecord, RunResult, merge_results, sum_records
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,7 @@ def drive_multicore(
 
 
 @dataclass(frozen=True)
-class CoreStats:
+class CoreStats(ResultRecord):
     """Per-core attribution of one multi-core run."""
 
     core: int
@@ -250,28 +250,9 @@ class CoreStats:
     stall_cycles: float
     service_cycles: float
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable form (harness result cache)."""
-        return {
-            "core": self.core,
-            "dispatched": self.dispatched,
-            "completed": self.completed,
-            "drops": self.drops,
-            "icache_misses": self.icache_misses,
-            "dcache_misses": self.dcache_misses,
-            "cycles": self.cycles,
-            "stall_cycles": self.stall_cycles,
-            "service_cycles": self.service_cycles,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CoreStats":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class MultiCoreRunResult:
+class MultiCoreRunResult(ResultRecord):
     """One multi-core run: the aggregate plus per-core attribution."""
 
     dispatch: str
@@ -292,25 +273,6 @@ class MultiCoreRunResult:
         if mean == 0:
             return 1.0
         return max(counts) / mean
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable form (harness result cache)."""
-        return {
-            "dispatch": self.dispatch,
-            "num_cores": self.num_cores,
-            "aggregate": self.aggregate.to_dict(),
-            "cores": [core.to_dict() for core in self.cores],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "MultiCoreRunResult":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            dispatch=data["dispatch"],
-            num_cores=int(data["num_cores"]),
-            aggregate=RunResult.from_dict(data["aggregate"]),
-            cores=tuple(CoreStats.from_dict(core) for core in data["cores"]),
-        )
 
 
 def run_multicore(
@@ -396,43 +358,15 @@ def merge_multicore_results(
     if not results:
         raise ConfigurationError("cannot merge zero multi-core results")
     num_cores = results[0].num_cores
-    merged_cores = []
-    for index in range(num_cores):
-        per_seed = [r.cores[index] for r in results]
-        merged_cores.append(
-            CoreStats(
-                core=index,
-                dispatched=sum(c.dispatched for c in per_seed),
-                completed=sum(c.completed for c in per_seed),
-                drops=sum(c.drops for c in per_seed),
-                icache_misses=sum(c.icache_misses for c in per_seed),
-                dcache_misses=sum(c.dcache_misses for c in per_seed),
-                cycles=sum(c.cycles for c in per_seed),
-                stall_cycles=sum(c.stall_cycles for c in per_seed),
-                service_cycles=sum(c.service_cycles for c in per_seed),
-            )
-        )
+    merged_cores = tuple(
+        sum_records([r.cores[index] for r in results], core=index)
+        for index in range(num_cores)
+    )
     return MultiCoreRunResult(
         dispatch=results[0].dispatch,
         num_cores=num_cores,
         aggregate=merge_results([r.aggregate for r in results]),
-        cores=tuple(merged_cores),
-    )
-
-
-def run_multicore_averaged(
-    source_factory,
-    config: MultiCoreConfig,
-    seeds: list[int],
-) -> MultiCoreRunResult:
-    """Average one multi-core configuration over several seeds.
-
-    ``source_factory(seed)`` returns a fresh traffic source; the same
-    seed drives per-core code placement and flow tagging — the paper's
-    placement-averaging methodology applied per core.
-    """
-    return merge_multicore_results(
-        [run_multicore(source_factory(seed), config, seed=seed) for seed in seeds]
+        cores=merged_cores,
     )
 
 

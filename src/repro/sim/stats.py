@@ -2,11 +2,72 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Any, TypeVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from ..errors import SimulationError
+
+
+R = TypeVar("R", bound="ResultRecord")
+
+
+class ResultRecord:
+    """JSON codec shared by every result dataclass.
+
+    :meth:`to_dict` walks :func:`dataclasses.fields`: nested records
+    become dicts, tuples become lists, every other value is stored as
+    is.  :meth:`from_dict` inverts it from the type hints (resolved
+    through the MRO, so subclasses inherit their parents' fields): a
+    record-typed field is rebuilt recursively, a ``tuple[X, ...]``
+    field becomes a tuple again, and a field missing from ``data``
+    takes its dataclass default.
+    """
+
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-serializable form (harness result cache, BENCH files)."""
+        return {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls: type[R], data: dict[str, Any]) -> R:
+        """Inverse of :meth:`to_dict`."""
+        hints = get_type_hints(cls)
+        return cls(**{
+            f.name: _decode(hints[f.name], data[f.name])
+            for f in fields(cls)
+            if f.name in data
+        })
+
+
+def _encode(value: Any) -> Any:
+    """The JSON form of one field value."""
+    if isinstance(value, ResultRecord):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    return value
+
+
+def _decode(hint: Any, value: Any) -> Any:
+    """Rebuild one field value of type ``hint`` from its JSON form."""
+    if isinstance(hint, type) and issubclass(hint, ResultRecord):
+        return hint.from_dict(value)
+    if get_origin(hint) is tuple:
+        return tuple(_decode(get_args(hint)[0], item) for item in value)
+    return value
+
+
+def sum_records(records: list[R], **fixed: Any) -> R:
+    """One record of ``records``' type: the ``fixed`` fields as given,
+    every other field summed across ``records``."""
+    kind = type(records[0])
+    summed = {
+        f.name: sum(getattr(record, f.name) for record in records)
+        for f in fields(kind)
+        if f.name not in fixed
+    }
+    return kind(**fixed, **summed)
 
 
 class LatencyRecorder:
@@ -41,7 +102,7 @@ class LatencyRecorder:
 
 
 @dataclass(frozen=True)
-class LatencySummary:
+class LatencySummary(ResultRecord):
     """Summary statistics of message latency, all in seconds."""
 
     count: int
@@ -50,22 +111,6 @@ class LatencySummary:
     p95: float
     p99: float
     maximum: float
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (harness result cache)."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "median": self.median,
-            "p95": self.p95,
-            "p99": self.p99,
-            "maximum": self.maximum,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LatencySummary":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**data)
 
     def format(self) -> str:
         """Human-readable one-liner with unit-scaled durations."""
@@ -81,7 +126,7 @@ class LatencySummary:
 
 
 @dataclass(frozen=True)
-class MissesPerMessage:
+class MissesPerMessage(ResultRecord):
     """Primary-cache misses per completed message (Figure 5's y-axis)."""
 
     instruction: float
@@ -92,18 +137,9 @@ class MissesPerMessage:
         """Instruction plus data misses per message."""
         return self.instruction + self.data
 
-    def to_dict(self) -> dict:
-        """JSON-serializable form (harness result cache)."""
-        return {"instruction": self.instruction, "data": self.data}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MissesPerMessage":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class RunResult:
+class RunResult(ResultRecord):
     """Everything one simulation run produces.
 
     Attributes mirror the paper's reporting: latency (Figure 6/7),
@@ -145,29 +181,6 @@ class RunResult:
             f"cycles/msg={self.cycles_per_message:.0f} "
             f"batch={self.mean_batch_size:.1f}"
         )
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (harness result cache, BENCH files)."""
-        return {
-            "scheduler": self.scheduler,
-            "arrival_rate": self.arrival_rate,
-            "offered": self.offered,
-            "completed": self.completed,
-            "dropped": self.dropped,
-            "duration": self.duration,
-            "latency": self.latency.to_dict(),
-            "misses": self.misses.to_dict(),
-            "cycles_per_message": self.cycles_per_message,
-            "mean_batch_size": self.mean_batch_size,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunResult":
-        """Inverse of :meth:`to_dict` (rebuilds the nested summaries)."""
-        fields = dict(data)
-        fields["latency"] = LatencySummary.from_dict(fields["latency"])
-        fields["misses"] = MissesPerMessage.from_dict(fields["misses"])
-        return cls(**fields)
 
 
 def merge_results(results: list[RunResult]) -> RunResult:

@@ -14,9 +14,6 @@ How it works
 :func:`try_drive_vec` hands :meth:`_VecEngine.step` to the shared drive
 loop (:mod:`repro.sim.runner`), which does admission, drops, obs
 counters, flushes and latency exactly as it does for scalar steps.
-:func:`arrival_table` is the columnar form (:data:`ARRIVAL_DTYPE`) of a
-timestamped arrival stream; its cycle column is bit-identical to the
-loop's per-arrival conversion.
 
 *Static step templates.*  For a given scheduler kind, the sequence of
 (layer, message-slot) invocations a service step performs — and hence
@@ -71,30 +68,9 @@ from ..machine.executor import FootprintExecutor, MessageBuffer
 from ..obs.runtime import active_recorder
 from .runner import DriveStats, _drive_cores
 
-#: Columnar arrival stream: one row per message, CPU-cycle timestamp
-#: plus message size.
-ARRIVAL_DTYPE = np.dtype([("cycle", np.float64), ("size", np.int64)])
-
 #: Cost-addend slots per invocation in a step template (istall, layer
 #: data stall, message-buffer stall, execute, trailing execute).
 _SLOTS = 5
-
-
-def arrival_table(arrivals: list[tuple[float, "Message"]], hz: float) -> np.ndarray:
-    """Build the columnar arrival table from timestamped messages.
-
-    ``cycle`` is ``time * hz`` computed elementwise in float64 —
-    bit-identical to the drive loop's per-arrival
-    :meth:`repro.units.Clock.seconds_to_cycles`.
-    """
-    table = np.zeros(len(arrivals), dtype=ARRIVAL_DTYPE)
-    if len(arrivals) > 0:
-        times = np.asarray([time for time, _ in arrivals], dtype=np.float64)
-        table["cycle"] = times * hz
-        table["size"] = np.asarray(
-            [message.size for _, message in arrivals], dtype=np.int64
-        )
-    return table
 
 
 class _StepTemplate:

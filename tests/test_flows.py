@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.harnesscheck import check_flow_org_coverage
+from repro.analysis.harnesscheck import check_registry_coverage
 from repro.cache.cache import DirectMappedCache
 from repro.errors import ConfigurationError
 from repro.experiments import flows as experiment
@@ -590,7 +590,9 @@ class TestExperimentSweep:
         assert "scheduler" in table and "entries" in table
 
     def test_harn003_clean_on_shipped_registry(self):
-        assert check_flow_org_coverage() == []
+        assert [
+            f for f in check_registry_coverage() if f.rule_id == "HARN003"
+        ] == []
 
     def test_harn003_flags_unexercised_organization(self, monkeypatch):
         import repro.flows.lookup as lookup_module
@@ -600,7 +602,9 @@ class TestExperimentSweep:
             "phantom",
             lambda entries: DirectMappedCache(entries, line_size=1),
         )
-        findings = check_flow_org_coverage()
+        findings = [
+            f for f in check_registry_coverage() if f.rule_id == "HARN003"
+        ]
         assert len(findings) == 1
         assert findings[0].rule_id == "HARN003"
         assert findings[0].details["organization"] == "phantom"

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.harnesscheck import check_dispatch_coverage
+from repro.analysis.harnesscheck import check_registry_coverage
 from repro.cache.hierarchy import CacheGeometry, MachineSpec
 from repro.core.dispatch import (
     APP_CLASS_KEY,
@@ -38,7 +38,6 @@ from repro.machine.multicore import MultiCoreMachine, MultiCoreSpec
 from repro.obs.runtime import Recorder, recording
 from repro.sim.multicore import (
     MultiCoreConfig,
-    MultiCoreRunResult,
     multicore_point,
     run_multicore,
 )
@@ -317,15 +316,6 @@ class TestMultiCoreRun:
         ldlp_imiss = ldlp["result"]["aggregate"]["misses"]["instruction"]
         assert ldlp_imiss < rss_imiss
 
-    def test_result_dict_roundtrip(self):
-        result = run_multicore(
-            PoissonSource(9000.0, size=552, rng=0),
-            MultiCoreConfig(num_cores=2, duration=0.02),
-            seed=0,
-        )
-        rebuilt = MultiCoreRunResult.from_dict(result.to_dict())
-        assert rebuilt.to_dict() == result.to_dict()
-
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             MultiCoreConfig(dispatch="nope")
@@ -437,7 +427,9 @@ class TestExperimentSweep:
         assert "dispatch" in table and "cores" in table
 
     def test_harn002_clean_on_shipped_registry(self):
-        assert check_dispatch_coverage() == []
+        assert [
+            f for f in check_registry_coverage() if f.rule_id == "HARN002"
+        ] == []
 
     def test_harn002_flags_unexercised_policy(self, monkeypatch):
         import repro.core.dispatch as dispatch_module
@@ -445,7 +437,9 @@ class TestExperimentSweep:
         monkeypatch.setitem(
             dispatch_module.DISPATCH_POLICIES, "phantom", FlowHashRSS
         )
-        findings = check_dispatch_coverage()
+        findings = [
+            f for f in check_registry_coverage() if f.rule_id == "HARN002"
+        ]
         assert len(findings) == 1
         assert findings[0].rule_id == "HARN002"
         assert findings[0].details["policy"] == "phantom"

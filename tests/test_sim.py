@@ -1,18 +1,28 @@
-"""Tests for repro.sim: stats, runner."""
+"""Tests for repro.sim: stats, runner, and the result codec."""
+
+import json
+import math
+from dataclasses import astuple
 
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.harness.cache import canonical_json
+from repro.flows import FlowCacheSpec, run_flow_simulation
+from repro.gossip import GossipFleetSource, GossipFleetSpec, run_gossip_simulation
 from repro.sim import (
     LatencyRecorder,
+    MultiCoreConfig,
     SimulationConfig,
     build_paper_stack,
     compare_schedulers,
     merge_results,
+    run_multicore,
     run_simulation,
 )
 from repro.sim.stats import MissesPerMessage, RunResult
 from repro.traffic import DeterministicSource, PoissonSource
+from repro.traffic.zipf import ZipfFlowSource
 
 
 class TestLatencyRecorder:
@@ -130,3 +140,84 @@ class TestMergeResults:
         merged = merge_results([one])
         assert merged.latency.mean == pytest.approx(2.0)
         assert merged.misses.total == pytest.approx(110)
+
+
+def _run_result():
+    return run_simulation(
+        PoissonSource(9000.0, rng=0), SimulationConfig(duration=0.02), seed=0
+    )
+
+
+def _empty_run_result():
+    result = run_simulation(
+        PoissonSource(9000.0, rng=0),
+        SimulationConfig(duration=0.02),
+        seed=0,
+        arrivals=[],
+    )
+    assert math.isnan(result.latency.mean)
+    return result
+
+
+def _flow_run_result():
+    source = ZipfFlowSource(
+        PoissonSource(9000.0, rng=0), num_flows=16, skew=1.1, seed=0
+    )
+    return run_flow_simulation(
+        source, SimulationConfig(duration=0.02), FlowCacheSpec(entries=8)
+    )
+
+
+def _gossip_run_result():
+    source = GossipFleetSource(GossipFleetSpec(num_peers=500, rate=6000.0, seed=3))
+    result = run_gossip_simulation(
+        source, SimulationConfig(duration=0.02), FlowCacheSpec(entries=16)
+    )
+    assert result.untagged > 0
+    return result
+
+
+def _multicore_run_result():
+    return run_multicore(
+        PoissonSource(9000.0, size=552, rng=0),
+        MultiCoreConfig(num_cores=2, duration=0.02),
+        seed=0,
+    )
+
+
+def _is_plain_json(value) -> bool:
+    """Whether a value nests only dict, list, str, int, float, bool, None."""
+    if isinstance(value, dict):
+        return all(
+            isinstance(key, str) and _is_plain_json(item)
+            for key, item in value.items()
+        )
+    if isinstance(value, list):
+        return all(_is_plain_json(item) for item in value)
+    return value is None or isinstance(value, (str, int, float, bool))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _run_result,
+        _empty_run_result,
+        _flow_run_result,
+        _gossip_run_result,
+        _multicore_run_result,
+    ],
+    ids=["RunResult", "RunResult-empty", "FlowRunResult", "GossipRunResult",
+         "MultiCoreRunResult"],
+)
+def test_result_codec_round_trip(build):
+    """Every result record encodes to plain JSON types and decodes back
+    to the same record, with canonical JSON unchanged (NaN included)."""
+    result = build()
+    encoded = result.to_dict()
+    assert _is_plain_json(encoded)
+    rebuilt = type(result).from_dict(json.loads(canonical_json(encoded)))
+    assert canonical_json(rebuilt.to_dict()) == canonical_json(encoded)
+    # astuple turns nested records into tuples but leaves dicts as
+    # dicts, so a nested record left undecoded would show here.
+    assert type(rebuilt) is type(result)
+    assert canonical_json(astuple(rebuilt)) == canonical_json(astuple(result))

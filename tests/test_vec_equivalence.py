@@ -46,7 +46,7 @@ from repro.sim.runner import (
     build_paper_stack,
     run_simulation,
 )
-from repro.sim.vec import ARRIVAL_DTYPE, arrival_table, try_drive_vec, vec_supported
+from repro.sim.vec import try_drive_vec, vec_supported
 from repro.traffic.base import Arrival
 from repro.traffic.poisson import PoissonSource
 
@@ -197,19 +197,6 @@ def test_empty_and_singleton_streams(scheduler, policy):
             expected = float(len(arrivals))
             assert counters.get("messages.arrivals", 0.0) == expected
             assert counters.get("messages.completions", 0.0) == expected
-
-
-def test_arrival_table_degenerate_lengths():
-    """The columnar arrival table at lengths 0 and 1."""
-    empty = arrival_table([], hz=100e6)
-    assert empty.dtype == ARRIVAL_DTYPE
-    assert empty.shape == (0,)
-    from repro.core.layer import Message
-
-    single = arrival_table([(0.25, Message(size=552))], hz=100e6)
-    assert single.shape == (1,)
-    assert single["cycle"][0] == 0.25 * 100e6
-    assert single["size"][0] == 552
 
 
 # ----------------------------------------------------------------------
