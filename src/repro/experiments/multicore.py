@@ -15,10 +15,9 @@ pins at 1, since per-message processing cannot profit from steering.
 Every sweep point is the pure module-level
 :func:`repro.sim.multicore.multicore_point`, so the sweep parallelizes
 over the harness worker pool and caches by content hash like any other
-experiment.  Points take no ``engine`` parameter: the multi-core drive
-loop is always the scalar event merge (the vectorized engine is a
-single-core whole-run replay), so both CI engine passes share one set
-of cached results.
+experiment.  Points accept ``engine`` for the CI dual-engine passes:
+on ``vec`` every core steps through its own vectorized engine, and both
+passes return byte-identical results.
 """
 
 from __future__ import annotations

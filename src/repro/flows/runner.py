@@ -11,10 +11,10 @@ so under load, LDLP and Grouped batches amortize lookup misses the same
 way they amortize instruction misses, while Conventional and ILP pay
 per message.
 
-The vectorized engine's static templates do not model lookup charging;
-its ``vec_supported`` envelope declines bindings with a flow lookup
-attached, so ``engine="vec"`` configs transparently take the scalar
-loop and both engine passes produce byte-identical results.
+Lookup charging touches only the flow cache and the cycle counter, so
+``engine="vec"`` runs take vectorized steps too (:mod:`repro.sim.vec`
+calls the same hooks) and both engine passes produce byte-identical
+results.
 """
 
 from __future__ import annotations
@@ -190,9 +190,8 @@ def flows_point(
     through the flow-charged stack; results merge across seeds.  The
     conservation audit counts seeds where
     ``offered != completed + dropped`` — lookup charging must neither
-    create nor lose messages.  ``engine`` is accepted for harness
-    engine pinning; flow-charged runs always fall back to the scalar
-    loop, so both engines return identical bytes.
+    create nor lose messages.  ``engine`` selects the drive-loop step
+    strategy (results are engine-invariant; only speed differs).
     """
     cache = FlowCacheSpec(
         entries=entries,

@@ -154,9 +154,9 @@ def gossip_point(
     harness contract).  Per seed, a fresh fleet spec drives one run;
     results merge across seeds.  The conservation audit counts seeds
     where ``offered != completed + dropped`` — the gossip tagging path
-    must neither create nor lose datagrams.  ``engine`` is accepted for
-    harness engine pinning; flow-charged runs always take the scalar
-    loop, so both engines return identical bytes.
+    must neither create nor lose datagrams.  ``engine`` selects the
+    drive-loop step strategy (results are engine-invariant; only speed
+    differs).
     """
     cache = FlowCacheSpec(
         entries=entries,

@@ -16,9 +16,12 @@ event is always the earliest of (next arrival, next busy core's service
 step), with ties admitting first, which is why a ``num_cores=1`` run
 reproduces :func:`repro.sim.runner.run_simulation` bit-identically for
 every dispatch policy (``tests/test_multicore.py`` pins this).
-Multi-core runs step every core through the scalar
-``service_step()`` strategy; the vectorized step strategy
-(:mod:`repro.sim.vec`) is only used by single-core drives.
+Cores couple only through dispatch at admission, so each core's service
+steps can be replayed on their own: with ``engine="vec"`` every core
+inside the vectorized envelope steps through its own
+:func:`repro.sim.vec.vec_step`, and the rest step through scalar
+``service_step()`` (a shared L2 keeps every core scalar), with
+bit-identical results either way.
 """
 
 from __future__ import annotations
@@ -50,9 +53,11 @@ from .runner import (
     _drive_cores,
     assemble_run_result,
     build_scheduler,
+    check_engine,
     scalar_step,
 )
 from .stats import ResultRecord, RunResult, merge_results, sum_records
+from .vec import vec_step
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,10 @@ class MultiCoreConfig:
         The modeled traffic structure the dispatcher keys on: arrivals
         are tagged with a deterministic flow id in ``0..num_flows-1``
         and a decoded application class ``flow % app_classes``.
+    ``engine``
+        The per-core step strategy (:data:`~repro.sim.runner.ENGINE_NAMES`),
+        as in :class:`~repro.sim.runner.SimulationConfig`; results do
+        not depend on it.
     """
 
     scheduler: str = "ldlp"
@@ -94,8 +103,10 @@ class MultiCoreConfig:
     random_placement: bool = True
     drop_policy: str = "tail"
     flush_period_cycles: float | None = None
+    engine: str = "vec"
 
     def __post_init__(self) -> None:
+        check_engine(self.engine)
         if self.scheduler not in SCHEDULER_NAMES:
             raise ConfigurationError(
                 f"unknown scheduler {self.scheduler!r}; expected one of "
@@ -144,7 +155,7 @@ class MultiCoreConfig:
             random_placement=self.random_placement,
             drop_policy=self.drop_policy,
             flush_period_cycles=self.flush_period_cycles,
-            engine="scalar",
+            engine=self.engine,
         )
 
     def with_dispatch(self, dispatch: str) -> "MultiCoreConfig":
@@ -212,14 +223,19 @@ def drive_multicore(
     dispatch: DispatchPolicy,
     arrivals: list[tuple[float, Message]],
     flush_period_cycles: float | None = None,
+    engine: str = "scalar",
 ) -> DriveStats:
     """Drive N bound schedulers from one dispatched arrival stream.
 
     Runs the shared drive loop (:func:`repro.sim.runner.drive`'s event
-    merge) with a scalar step strategy on every core: the next arrival
-    is dispatched, then admitted by the target core's drop policy, as
-    long as it is not later than the earliest busy core's clock;
-    otherwise that core steps (ties broken by core index).
+    merge): the next arrival is dispatched, then admitted by the target
+    core's drop policy, as long as it is not later than the earliest
+    busy core's clock; otherwise that core steps (ties broken by core
+    index).  ``engine`` picks the step strategies as in
+    :func:`repro.sim.runner.drive`: ``"vec"`` gives each core a
+    :func:`repro.sim.vec.vec_step` and falls back to
+    :func:`~repro.sim.runner.scalar_step` core by core where the
+    vectorized engine declines.
 
     With a :mod:`repro.obs` recorder installed, each core's service
     steps are spans on a ``core{i}/scheduler`` track with machine
@@ -227,13 +243,12 @@ def drive_multicore(
     instant on the ``dispatch`` track, and drops/flushes counted per
     core as well as globally.
     """
-    return _drive_cores(
-        cores,
-        [scalar_step(scheduler) for scheduler in cores],
-        arrivals,
-        flush_period_cycles,
-        dispatch,
-    )
+    check_engine(engine)
+    steps = []
+    for scheduler in cores:
+        step = vec_step(scheduler) if engine == "vec" else None
+        steps.append(step if step is not None else scalar_step(scheduler))
+    return _drive_cores(cores, steps, arrivals, flush_period_cycles, dispatch)
 
 
 @dataclass(frozen=True)
@@ -304,6 +319,7 @@ def run_multicore(
         dispatch,
         timestamped,
         flush_period_cycles=config.flush_period_cycles,
+        engine=config.engine,
     )
 
     aggregate = assemble_run_result(cores, outcome, source, stream, config)
@@ -381,6 +397,7 @@ def multicore_point(
     num_flows: int = 64,
     app_classes: int = 8,
     message_size: int = 552,
+    engine: str = "vec",
 ) -> dict[str, Any]:
     """One (scheduler, dispatch, core count) sweep point.
 
@@ -392,6 +409,8 @@ def multicore_point(
     :class:`MultiCoreRunResult` plus a conservation audit — dispatching
     must neither create nor lose messages
     (``offered == completed + dropped`` once the queues drain).
+    ``engine`` selects the per-core step strategy (results are
+    engine-invariant; only speed differs).
     """
     config = MultiCoreConfig(
         scheduler=scheduler,
@@ -401,6 +420,7 @@ def multicore_point(
         app_classes=app_classes,
         duration=duration,
         drop_policy=policy,
+        engine=engine,
     )
     results = []
     violations = 0

@@ -51,6 +51,14 @@ SCHEDULER_NAMES = ("conventional", "ilp", "ldlp", "grouped")
 ENGINE_NAMES = ("scalar", "vec")
 
 
+def check_engine(engine: str) -> None:
+    """Raise :class:`ConfigurationError` unless ``engine`` is registered."""
+    if engine not in ENGINE_NAMES:
+        raise ConfigurationError(
+            f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}"
+        )
+
+
 def build_paper_stack(
     num_layers: int = 5,
     code_bytes: int = 6144,
@@ -98,11 +106,7 @@ class SimulationConfig:
     engine: str = "vec"
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINE_NAMES:
-            raise ConfigurationError(
-                f"unknown engine {self.engine!r}; expected one of "
-                f"{ENGINE_NAMES}"
-            )
+        check_engine(self.engine)
         if self.scheduler not in SCHEDULER_NAMES:
             raise ConfigurationError(
                 f"unknown scheduler {self.scheduler!r}; expected one of "
@@ -438,10 +442,7 @@ def drive(
     silently falls back to scalar steps where not (stateful layers, L2
     hierarchies, self-conflicting placements, span-keeping recorders).
     """
-    if engine not in ENGINE_NAMES:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}"
-        )
+    check_engine(engine)
     if engine == "vec":
         from .vec import try_drive_vec
 

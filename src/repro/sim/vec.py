@@ -11,9 +11,12 @@ same obs counters, same drop decisions.
 How it works
 ------------
 *One loop, another step.*  The engine is a step strategy, not a loop:
-:func:`try_drive_vec` hands :meth:`_VecEngine.step` to the shared drive
-loop (:mod:`repro.sim.runner`), which does admission, drops, obs
-counters, flushes and latency exactly as it does for scalar steps.
+:func:`vec_step` builds a :meth:`_VecEngine.step` for one scheduler,
+and the shared drive loop (:mod:`repro.sim.runner`) does admission,
+drops, obs counters, flushes and latency exactly as it does for scalar
+steps.  :func:`try_drive_vec` runs it on one core;
+:func:`repro.sim.multicore.drive_multicore` gives every eligible core
+its own engine, since cores couple only through dispatch at admission.
 
 *Static step templates.*  For a given scheduler kind, the sequence of
 (layer, message-slot) invocations a service step performs — and hence
@@ -23,7 +26,10 @@ message size).  The engine compiles that into a
 :class:`repro.cache.chunked.SegmentedAccessPlan` per cache plus a
 per-invocation cost-addend layout, cached by composition key.  The ring
 of 32 buffers and the bounded batch cap keep the key space small, so
-steady state replays cached templates.
+steady state replays cached templates.  The instruction stream depends
+on the batch *length* alone (buffers and sizes only move data lines and
+cost addends), so the I-cache plan is built once per length and shared
+by every composition of that length.
 
 *Dynamic replay.*  Applying a template is ~15 numpy ops: gather the
 live tags for first-touched sets, compare, scatter the final tags,
@@ -36,17 +42,28 @@ not merely close.
 
 Equivalence boundaries
 ----------------------
-The engine silently declines (:func:`try_drive_vec` returns ``None``,
-the caller falls back to scalar steps) whenever exact replay is not
-guaranteed: unbound schedulers, bindings carrying a flow-lookup cache
-(:mod:`repro.flows` charging is a scalar-path feature), non-passthrough
-layers (stateful stacks), an L2 hierarchy, layers whose code working
-set conflicts with itself in the instruction cache (the static template
-would be unsound — see
+The engine silently declines (:func:`vec_step` returns ``None``, the
+caller falls back to scalar steps for that core) whenever exact replay
+is not guaranteed: unbound schedulers, non-passthrough layers (stateful
+stacks), an L2 hierarchy (including a multi-core shared L2), layers
+whose code working set conflicts with itself in the instruction cache
+(the static template would be unsound — see
 :class:`~repro.cache.chunked.UnsupportedPlanError`), or a span-keeping
 obs recorder (the vec path does not emit per-layer ``invoke`` spans,
 only the drive-level counters and ``service_step`` spans the harness
 consumes; full tracing keeps the scalar path).
+
+Flow-lookup charging (:mod:`repro.flows`) is inside the envelope: a
+step calls :func:`~repro.core.scheduler.charge_flow_lookups` exactly
+where the scalar step does, before the template reads the cycle
+counter.  A lookup touches only the flow cache and adds one
+``cpu.execute``, never the I/D caches, so the template and its addition
+order are unchanged, and the per-batch dedup and untagged-walk
+accounting are the scalar code itself.
+
+Sharing one I-cache plan between compositions is exact because
+:meth:`~repro.cache.chunked.SegmentedAccessPlan.apply` is stateless: all
+cache state lives in the tag array it is handed.
 """
 
 from __future__ import annotations
@@ -62,11 +79,12 @@ from ..core.scheduler import (
     ILPScheduler,
     LDLPScheduler,
     Scheduler,
+    charge_flow_lookups,
     take_batch,
 )
 from ..machine.executor import FootprintExecutor, MessageBuffer
 from ..obs.runtime import active_recorder
-from .runner import DriveStats, _drive_cores
+from .runner import DriveStats, Step, _drive_cores
 
 #: Cost-addend slots per invocation in a step template (istall, layer
 #: data stall, message-buffer stall, execute, trailing execute).
@@ -134,6 +152,9 @@ class _VecEngine:
             scheduler.groups if isinstance(scheduler, GroupedLDLPScheduler) else None
         )
         self._templates: dict[tuple[tuple[int, int], ...], _StepTemplate] = {}
+        #: I-cache plans by batch length: the code stream of a step does
+        #: not depend on which buffers or sizes the batch holds.
+        self._iplans: dict[int, SegmentedAccessPlan] = {}
 
     # ------------------------------------------------------------------
     # Template compilation
@@ -198,7 +219,6 @@ class _VecEngine:
     ) -> _StepTemplate:
         program = self._invocations(sizes)
         count = len(program)
-        code_segments: list[np.ndarray] = []
         data_segments: list[np.ndarray] = []
         addends = np.zeros(1 + _SLOTS * count)
         base = _SLOTS * np.arange(count, dtype=np.int64)
@@ -206,7 +226,6 @@ class _VecEngine:
             program
         ):
             placed = self.placed[layer_index]
-            code_segments.append(placed.code_lines)
             data_segments.append(placed.data_lines)
             if include_data:
                 buffer = buffers[slot]
@@ -224,12 +243,19 @@ class _VecEngine:
         dpos = np.empty(2 * count, dtype=np.int64)
         dpos[0::2] = base + 2
         dpos[1::2] = base + 3
-        iplan = SegmentedAccessPlan(
-            np.concatenate(code_segments) if code_segments else
-            np.empty(0, dtype=np.int64),
-            np.cumsum([0] + [seg.size for seg in code_segments]),
-            self.icache.num_lines,
-        )
+        iplan = self._iplans.get(len(sizes))
+        if iplan is None:
+            code_segments = [
+                self.placed[layer_index].code_lines
+                for layer_index, _, _, _ in program
+            ]
+            iplan = SegmentedAccessPlan(
+                np.concatenate(code_segments) if code_segments else
+                np.empty(0, dtype=np.int64),
+                np.cumsum([0] + [seg.size for seg in code_segments]),
+                self.icache.num_lines,
+            )
+            self._iplans[len(sizes)] = iplan
         dplan = SegmentedAccessPlan(
             np.concatenate(data_segments) if data_segments else
             np.empty(0, dtype=np.int64),
@@ -253,6 +279,7 @@ class _VecEngine:
         scheduler = self.scheduler
         if self.kind in ("conventional", "ilp"):
             batch = [scheduler.input_queue.popleft()]
+            charge_flow_lookups(scheduler, batch)
         else:
             batch = take_batch(scheduler)  # type: ignore[arg-type]
             if not batch:
@@ -295,18 +322,13 @@ def vec_supported(scheduler: Scheduler) -> bool:
     a bound flat (no-L2) direct-mapped hierarchy, and self-conflict-free
     code/data/buffer placements (the static-template soundness
     condition).  Dynamic conditions (a span-keeping recorder) are
-    checked by :func:`try_drive_vec` per call.
+    checked by :func:`vec_step` per call.
     """
     kind = _scheduler_kind(scheduler)
     if kind is None:
         return False
     binding = scheduler.binding
     if binding is None or not binding.bound:
-        return False
-    if binding.flow_lookup is not None:
-        # Flow-lookup charging (repro.flows) happens inside the scalar
-        # service path; the static step templates do not model it, so
-        # a lookup-charged run must take scalar steps.
         return False
     if binding.spec.l2 is not None:
         return False
@@ -352,20 +374,15 @@ def _scheduler_kind(scheduler: Scheduler) -> str | None:
     return None
 
 
-def try_drive_vec(
-    scheduler: Scheduler,
-    arrivals: list[tuple[float, Message]],
-    flush_period_cycles: float | None = None,
-) -> DriveStats | None:
-    """Vectorized twin of :func:`repro.sim.runner.drive`.
+def vec_step(scheduler: Scheduler) -> Step | None:
+    """A vectorized step strategy for one bound scheduler, or ``None``.
 
-    Returns ``None`` (caller falls back to scalar steps) when the
-    configuration is outside the engine's exact-replay envelope; see
-    the module docstring for the boundaries.  Otherwise runs the shared
-    one-core drive loop with :meth:`_VecEngine.step` as its step
-    strategy, so the returned :class:`~repro.sim.runner.DriveStats`,
-    all cache/CPU statistics, and all obs counters are bit-identical
-    to the scalar path's.
+    Returns ``None`` (the caller falls back to
+    :func:`~repro.sim.runner.scalar_step`) when the scheduler is outside
+    the engine's exact-replay envelope; see the module docstring for the
+    boundaries.  Otherwise every step the returned strategy takes leaves
+    the scheduler, its caches, its CPU and the obs counters exactly as
+    the scalar step would.
     """
     recorder = active_recorder()
     if recorder is not None and recorder.keep_spans:
@@ -374,5 +391,24 @@ def try_drive_vec(
         return None
     if not vec_supported(scheduler):
         return None
-    engine = _VecEngine(scheduler, _scheduler_kind(scheduler) or "")
-    return _drive_cores([scheduler], [engine.step], arrivals, flush_period_cycles)
+    return _VecEngine(scheduler, _scheduler_kind(scheduler) or "").step
+
+
+def try_drive_vec(
+    scheduler: Scheduler,
+    arrivals: list[tuple[float, Message]],
+    flush_period_cycles: float | None = None,
+) -> DriveStats | None:
+    """Vectorized twin of :func:`repro.sim.runner.drive`.
+
+    Returns ``None`` (caller falls back to scalar steps) when
+    :func:`vec_step` declines the scheduler.  Otherwise runs the shared
+    one-core drive loop with the vectorized step strategy, so the
+    returned :class:`~repro.sim.runner.DriveStats`, all cache/CPU
+    statistics, and all obs counters are bit-identical to the scalar
+    path's.
+    """
+    step = vec_step(scheduler)
+    if step is None:
+        return None
+    return _drive_cores([scheduler], [step], arrivals, flush_period_cycles)

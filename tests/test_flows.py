@@ -6,10 +6,10 @@ pure function of the seed (crc32 derivation — byte-identical at any
 worker count and across repeat runs), (2) batching schedulers amortize
 lookups — LDLP performs strictly fewer lookups than Conventional at
 equal load and never more misses per message, (3) lookup charging
-conserves messages exactly, (4) the vectorized engine declines
-flow-charged bindings so both engine settings return identical bytes,
-and (5) the HARN003 rule keeps every registered cache organization
-exercised by the sweep.
+conserves messages exactly, (4) flow-charged runs return identical
+bytes and obs counters on both engines for every scheduler, and (5)
+the HARN003 rule keeps every registered cache organization exercised
+by the sweep.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from repro.flows import (
 )
 from repro.flows.runner import flows_point, make_flow_base, run_flow_simulation
 from repro.harness import ResultCache, run_experiment
+from repro.obs.runtime import Recorder, recording
 from repro.sim.runner import SimulationConfig, build_scheduler
 from repro.sim.vec import vec_supported
 from repro.traffic.poisson import PoissonSource
@@ -378,11 +379,11 @@ class TestFlowRuns:
             scheduler=scheduler, duration=0.05, engine=engine
         )
 
-    def test_vec_envelope_declines_flow_lookup(self):
+    def test_vec_envelope_accepts_flow_lookup(self):
         scheduler = build_scheduler(self.config("ldlp"), 0)
         assert vec_supported(scheduler)
         scheduler.binding.flow_lookup = FlowCacheSpec().build()
-        assert not vec_supported(scheduler)
+        assert vec_supported(scheduler)
 
     def test_conservation_exact(self):
         result = run_flow_simulation(
@@ -418,9 +419,15 @@ class TestFlowRuns:
         assert result.misses == 1
         assert result.hits == result.lookups - 1
 
-    def test_point_identical_across_engines(self):
+    @pytest.mark.parametrize(
+        "scheduler", ["conventional", "ilp", "ldlp", "grouped"]
+    )
+    def test_point_identical_across_engines(self, scheduler):
+        """Every scheduler's lookup charging replays exactly on vec
+        steps: same result bytes and same obs counters, lookup and
+        batching counters included."""
         base = dict(
-            scheduler="ldlp",
+            scheduler=scheduler,
             organization="lru4",
             entries=16,
             skew=1.1,
@@ -428,11 +435,23 @@ class TestFlowRuns:
             seeds=[0, 1],
             duration=0.02,
         )
-        vec = flows_point(**base, engine="vec")
-        scalar = flows_point(**base, engine="scalar")
-        assert json.dumps(vec, sort_keys=True) == json.dumps(
-            scalar, sort_keys=True
+        outcomes = {}
+        for engine in ("scalar", "vec"):
+            recorder = Recorder(keep_spans=False)
+            with recording(recorder):
+                point = flows_point(**base, engine=engine)
+            outcomes[engine] = (
+                json.dumps(point, sort_keys=True),
+                recorder.counters.as_dict(),
+            )
+        assert outcomes["scalar"] == outcomes["vec"]
+        counters = outcomes["vec"][1]
+        assert counters["flows.lookups"] > 0
+        assert counters["flows.hits"] + counters["flows.misses"] == (
+            counters["flows.lookups"]
         )
+        if scheduler in ("ldlp", "grouped"):
+            assert counters["ldlp.batched_messages"] > counters["ldlp.batches"]
 
     def test_point_repeats_byte_identically(self):
         first = flows_point(

@@ -41,6 +41,7 @@ from repro.gossip import (
     message_wire_bytes,
 )
 from repro.gossip.runner import gossip_point, run_gossip_simulation
+from repro.obs.runtime import Recorder, recording
 from repro.sim import SimulationConfig
 
 
@@ -338,22 +339,38 @@ class TestGossipRuns:
         )
         assert first["conservation_violations"] == 0
 
-    def test_point_identical_across_engines(self):
+    @pytest.mark.parametrize(
+        "scheduler", ["conventional", "ilp", "ldlp", "grouped"]
+    )
+    def test_point_identical_across_engines(self, scheduler):
+        """Mixed batches of tagged data and untagged control datagrams
+        replay exactly on vec steps for every scheduler: same result
+        bytes and same obs counters, untagged walks included."""
         params = dict(
             framing="sessionless",
             collection_size=4,
-            scheduler="ldlp",
+            scheduler=scheduler,
             policy="tail",
             rate=9000.0,
             seeds=[0],
             duration=0.02,
             num_peers=500,
         )
-        vec = gossip_point(**params, engine="vec")
-        scalar = gossip_point(**params, engine="scalar")
-        assert json.dumps(vec, sort_keys=True) == json.dumps(
-            scalar, sort_keys=True
-        )
+        outcomes = {}
+        for engine in ("scalar", "vec"):
+            recorder = Recorder(keep_spans=False)
+            with recording(recorder):
+                point = gossip_point(**params, engine=engine)
+            outcomes[engine] = (
+                json.dumps(point, sort_keys=True),
+                recorder.counters.as_dict(),
+            )
+        assert outcomes["scalar"] == outcomes["vec"]
+        counters = outcomes["vec"][1]
+        assert counters["flows.untagged"] > 0
+        assert counters["flows.lookups"] > counters["flows.untagged"]
+        if scheduler in ("ldlp", "grouped"):
+            assert counters["ldlp.batched_messages"] > counters["ldlp.batches"]
 
     def test_session_saves_header_bytes_end_to_end(self):
         session = self.run(framing="session")

@@ -34,14 +34,17 @@ from repro.core.overload import DROP_POLICIES
 from repro.errors import ConfigurationError
 from repro.experiments import multicore as experiment
 from repro.harness import ResultCache, run_experiment
+from repro.harness.cache import canonical_json
 from repro.machine.multicore import MultiCoreMachine, MultiCoreSpec
 from repro.obs.runtime import Recorder, recording
 from repro.sim.multicore import (
     MultiCoreConfig,
+    build_cores,
     multicore_point,
     run_multicore,
 )
 from repro.sim.runner import SimulationConfig, run_simulation
+from repro.sim.vec import vec_step
 from repro.traffic.poisson import PoissonSource
 
 ALL_SCHEDULERS = ("conventional", "ilp", "ldlp", "grouped")
@@ -274,6 +277,74 @@ class TestSingleCoreEquivalence:
             ), name
         flushes = base_recorder.counters.get("faults.cache_flushes")
         assert (flushes > 0) == (flush is not None)
+
+
+# ----------------------------------------------------------------------
+# Every core steps through the vec engine: scalar == vec at N > 1
+
+
+def run_both_engines(**shape):
+    """One multi-core config on both engines under a metrics recorder;
+    returns {engine: (canonical result JSON, counters dict)}."""
+    outcomes = {}
+    for engine in ("scalar", "vec"):
+        recorder = Recorder(keep_spans=False)
+        with recording(recorder):
+            result = run_multicore(
+                PoissonSource(7000.0 * shape["num_cores"], size=552, rng=3),
+                MultiCoreConfig(engine=engine, **shape),
+                seed=3,
+            )
+        outcomes[engine] = (
+            canonical_json(result.to_dict()),
+            recorder.counters.as_dict(),
+        )
+    return outcomes
+
+
+class TestMultiCoreEngines:
+    @pytest.mark.parametrize("dispatch", sorted(DISPATCH_POLICIES))
+    @pytest.mark.parametrize("scheduler", ALL_SCHEDULERS)
+    @pytest.mark.parametrize("cores", [2, 4])
+    @pytest.mark.parametrize("flush", [None, 150_000])
+    def test_vec_steps_match_scalar(self, dispatch, scheduler, cores, flush):
+        """Per-core vec steps leave the whole result (aggregate and
+        per-core attribution) and every obs counter as scalar steps do."""
+        shape = dict(
+            scheduler=scheduler,
+            dispatch=dispatch,
+            num_cores=cores,
+            duration=0.02,
+            flush_period_cycles=flush,
+        )
+        config = MultiCoreConfig(**shape)
+        assert all(vec_step(core) is not None for core in build_cores(config, 3))
+        outcomes = run_both_engines(**shape)
+        assert outcomes["scalar"] == outcomes["vec"]
+        counters = outcomes["vec"][1]
+        assert counters["messages.completions"] > 0
+        assert (counters.get("faults.cache_flushes", 0) > 0) == (
+            flush is not None
+        )
+        if scheduler in ("ldlp", "grouped"):
+            assert counters["ldlp.batched_messages"] > counters["ldlp.batches"]
+
+    def test_shared_l2_stays_scalar_and_matches(self):
+        shape = dict(
+            scheduler="ldlp",
+            dispatch="ldlp",
+            num_cores=2,
+            duration=0.02,
+            shared_l2=CacheGeometry(size=65536, line_size=32),
+        )
+        cores = build_cores(MultiCoreConfig(**shape), 3)
+        assert all(vec_step(core) is None for core in cores)
+        outcomes = run_both_engines(**shape)
+        assert outcomes["scalar"] == outcomes["vec"]
+
+    def test_unknown_engine_fails_at_config(self):
+        with pytest.raises(ConfigurationError, match="unknown engine 'turbo'"):
+            MultiCoreConfig(engine="turbo")
 
 
 # ----------------------------------------------------------------------
