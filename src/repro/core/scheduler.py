@@ -14,6 +14,12 @@ invocations, which is what determines cache behaviour (Figures 2 and 3):
   over the whole batch before moving up.  "Under light load, messages
   will usually be processed singly, minimizing delay.  Under heavy load,
   messages will be processed in batches, maximizing throughput."
+
+LDLP has one implementation, :class:`GroupedLDLPScheduler`, which runs
+the batch group by group over adjacent layers grouped to fit the
+instruction cache (the paper's closing advice).  Per-layer LDLP *is*
+grouped LDLP with one layer per group, so :class:`LDLPScheduler` only
+fixes the groups to ``[[0], [1], ..., [n-1]]``.
 """
 
 from __future__ import annotations
@@ -205,6 +211,10 @@ class Scheduler(ABC):
         names = [layer.name for layer in layers]
         if len(set(names)) != len(names):
             raise SchedulerError(f"duplicate layer names in stack: {names}")
+        if input_limit < 1:
+            raise SchedulerError(
+                f"input_limit must be at least 1 message, got {input_limit}"
+            )
         self.layers = layers
         self.binding = binding
         if binding is not None and not binding.bound:
@@ -392,11 +402,13 @@ def take_batch(scheduler: "LDLPScheduler | GroupedLDLPScheduler") -> list[Messag
     """Pop one service-step batch off a batched scheduler's input queue.
 
     Applies the drop policy's dynamic batch cap, appends to
-    ``batch_sizes``, and bumps the ``ldlp.batches`` /
-    ``ldlp.batched_messages`` counters — the single place batch
-    assembly happens, shared by the scalar ``service_step`` paths and
-    the vectorized engine (:mod:`repro.sim.vec`) so both observe
-    byte-identical batching behavior.
+    ``batch_sizes``, charges the batch's flow lookups, and bumps the
+    ``ldlp.batches`` / ``ldlp.batched_messages`` counters — the single
+    place batch assembly happens, shared by the one batched scalar
+    ``service_step`` (:class:`GroupedLDLPScheduler`, which per-layer
+    :class:`LDLPScheduler` inherits) and the vectorized engine
+    (:mod:`repro.sim.vec`), so both observe byte-identical batching
+    behavior.
     """
     limit = scheduler.drop_policy.batch_limit(
         scheduler.batch_limit, len(scheduler.input_queue), scheduler.input_limit
@@ -413,86 +425,6 @@ def take_batch(scheduler: "LDLPScheduler | GroupedLDLPScheduler") -> list[Messag
     return batch
 
 
-class LDLPScheduler(Scheduler):
-    """Locality-driven layer processing (the paper's Section 3).
-
-    Layer boundaries are queues.  A service step drains the input queue
-    into a batch of at most :attr:`batch_limit` messages ("as many
-    available messages as will fit in the data cache"), then runs each
-    layer to completion over its queue before invoking the next layer
-    up.  Each queue hop is charged the ~40-instruction enqueue/dequeue
-    overhead the paper measured.
-    """
-
-    uses_queues = True
-
-    def __init__(
-        self,
-        layers: list[Layer],
-        binding: MachineBinding | None = None,
-        input_limit: int = 500,
-        batch_policy: BatchPolicy | None = None,
-        *,
-        drop_policy: DropPolicy | None = None,
-    ) -> None:
-        super().__init__(layers, binding, input_limit, drop_policy=drop_policy)
-        if batch_policy is None:
-            if binding is not None:
-                batch_policy = BatchPolicy.from_machine(binding.spec)
-            else:
-                batch_policy = BatchPolicy(max_batch=14)
-        self.batch_policy = batch_policy
-        self._queues: list[deque[Message]] = [deque() for _ in layers]
-        self.batch_sizes: list[int] = []
-
-    @property
-    def batch_limit(self) -> int:
-        """Largest batch one service step may assemble (the D-cache cap)."""
-        return self.batch_policy.max_batch
-
-    def describe_config(self) -> dict[str, Any]:
-        """Scheduler config plus the batch cap, for analysis/reporting."""
-        config = super().describe_config()
-        config["batch_limit"] = self.batch_limit
-        return config
-
-    def service_step(self) -> list[Completion]:
-        """Drain up to one batch through the stack layer by layer."""
-        if not self.input_queue:
-            return []
-        self._queues[0].extend(take_batch(self))
-        completions: list[Completion] = []
-        # Run layers bottom-up; repeat while flush() backwash leaves
-        # work in any queue (e.g. a held-back coalesced message).
-        while any(self._queues):
-            for index, layer in enumerate(self.layers):
-                queue = self._queues[index]
-                while queue:
-                    message = queue.popleft()
-                    self._charge(layer, message, queue_overhead=True)
-                    self._emit(index, layer.deliver(message), message, completions)
-                for flushed in layer.flush():
-                    self._emit(index, [flushed], flushed, completions)
-        return completions
-
-    def _emit(
-        self,
-        index: int,
-        outputs: list[Message],
-        source: Message,
-        completions: list[Completion],
-    ) -> None:
-        top = index == len(self.layers) - 1
-        if not outputs:
-            completions.append(Completion(source, self._now(), delivered=top))
-            return
-        for out in outputs:
-            if top:
-                completions.append(Completion(out, self._now(), delivered=True))
-            else:
-                self._queues[index + 1].append(out)
-
-
 class GroupedLDLPScheduler(Scheduler):
     """LDLP over *groups* of layers (the paper's closing advice).
 
@@ -504,8 +436,9 @@ class GroupedLDLPScheduler(Scheduler):
     through all member layers by plain procedure calls (one queue hop
     per *group*, not per layer), and the batch moves group by group.
 
-    With every layer in its own group this is exactly
-    :class:`LDLPScheduler`; with one group it degenerates to a batched
+    This is the one batched service path: with every layer in its own
+    group it *is* per-layer LDLP (:class:`LDLPScheduler` is exactly
+    that instance), and with one group it degenerates to a batched
     conventional schedule.
     """
 
@@ -650,3 +583,34 @@ class GroupedLDLPScheduler(Scheduler):
                     group_index, remaining, out, completions,
                     charge_queue_hop=False,
                 )
+
+
+class LDLPScheduler(GroupedLDLPScheduler):
+    """Locality-driven layer processing (the paper's Section 3).
+
+    Grouped LDLP with every layer in its own group.  Layer boundaries
+    are queues.  A service step drains the input queue into a batch of
+    at most :attr:`batch_limit` messages ("as many available messages
+    as will fit in the data cache"), then runs each layer to completion
+    over its queue before invoking the next layer up.  Each queue hop
+    is charged the ~40-instruction enqueue/dequeue overhead the paper
+    measured.
+    """
+
+    def __init__(
+        self,
+        layers: list[Layer],
+        binding: MachineBinding | None = None,
+        input_limit: int = 500,
+        batch_policy: BatchPolicy | None = None,
+        *,
+        drop_policy: DropPolicy | None = None,
+    ) -> None:
+        super().__init__(
+            layers,
+            binding,
+            input_limit,
+            batch_policy,
+            [[index] for index in range(len(layers))],
+            drop_policy=drop_policy,
+        )

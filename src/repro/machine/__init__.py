@@ -10,7 +10,7 @@ from .executor import (
     PlacedLayer,
 )
 from .layout import DEFAULT_SPAN, MemoryLayout
-from .multicore import MultiCoreMachine, MultiCoreSpec
+from .multicore import MultiCoreSpec
 from .program import Program, Region, RegionKind
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "FootprintExecutor",
     "MemoryLayout",
     "MessageBuffer",
-    "MultiCoreMachine",
     "MultiCoreSpec",
     "PlacedLayer",
     "Program",

@@ -1,4 +1,4 @@
-"""The multi-core machine: N modeled CPUs behind one shared L2.
+"""The multi-core machine topology: N modeled CPUs behind one shared L2.
 
 The paper's machine (Section 4) is a single 100 MHz CPU with split 8 KB
 primary caches.  This module generalizes it to the topology every
@@ -11,8 +11,9 @@ per-core miss attribution (``repro.obs``) falls out of the same
 counters the single-core model already exposes.
 
 Which core a message lands on is decided *above* this module by a
-:class:`repro.core.dispatch.DispatchPolicy`; the machine model only
-provides the cores and their shared memory-side state.
+:class:`repro.core.dispatch.DispatchPolicy`; this module only
+describes the topology, and :func:`repro.sim.multicore.build_cores`
+builds the live cores and their one shared L2 from it.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from ..cache.cache import DirectMappedCache
 from ..cache.hierarchy import CacheGeometry, MachineSpec
 from ..errors import ConfigurationError
-from .cpu import CPU
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,7 @@ class MultiCoreSpec:
         With a shared L2 configured, each core's spec carries the L2
         geometry so its hierarchy charges the two-level penalties; the
         actual cache *state* is then replaced by the one shared
-        instance (:class:`MultiCoreMachine` does the rewiring).
+        instance (:func:`repro.sim.multicore.build_cores` does the rewiring).
         """
         if self.shared_l2 is None:
             return self.core
@@ -95,76 +94,3 @@ class MultiCoreSpec:
                 self.shared_l2.describe() if self.shared_l2 is not None else None
             ),
         }
-
-
-class MultiCoreMachine:
-    """Live state of an N-core machine: per-core CPUs, one shared L2.
-
-    Each :class:`~repro.machine.cpu.CPU` owns private I/D cache state
-    and its own cycle clock; when the spec configures a shared L2, all
-    per-core hierarchies are rewired to probe the *same*
-    :class:`~repro.cache.cache.DirectMappedCache` instance, so one
-    core's refills evict another's L2 lines — shared-level contention
-    is modeled for free.
-    """
-
-    def __init__(self, spec: MultiCoreSpec | None = None) -> None:
-        self.spec = spec or MultiCoreSpec()
-        core_spec = self.spec.core_spec()
-        self.cpus = [CPU(core_spec) for _ in range(self.spec.num_cores)]
-        self.shared_l2: DirectMappedCache | None = None
-        if self.spec.shared_l2 is not None:
-            self.shared_l2 = self.spec.shared_l2.build()
-            for cpu in self.cpus:
-                cpu.hierarchy.l2 = self.shared_l2
-
-    @property
-    def num_cores(self) -> int:
-        """Number of modeled cores."""
-        return len(self.cpus)
-
-    def core(self, index: int) -> CPU:
-        """The CPU of one core, by index."""
-        return self.cpus[index]
-
-    def reset(self) -> None:
-        """Zero every core's time and statistics; flush all caches."""
-        for cpu in self.cpus:
-            cpu.reset()
-        if self.shared_l2 is not None:
-            self.shared_l2.flush()
-            self.shared_l2.stats.reset()
-
-    # ------------------------------------------------------------------
-    # Aggregate statistics
-
-    @property
-    def icache_misses(self) -> int:
-        """Instruction-cache misses summed over every core."""
-        return sum(cpu.icache_misses for cpu in self.cpus)
-
-    @property
-    def dcache_misses(self) -> int:
-        """Data-cache misses summed over every core."""
-        return sum(cpu.dcache_misses for cpu in self.cpus)
-
-    def per_core_counters(self) -> list[dict[str, float]]:
-        """Per-core miss/cycle attribution, one dict per core.
-
-        The names match :func:`repro.obs.runtime.machine_counters`, so
-        obs sinks and the multi-core experiment report attribute misses
-        to cores with the same vocabulary as single-core spans.
-        """
-        return [
-            {
-                "cycles": float(cpu.cycles),
-                "stall_cycles": float(cpu.stall_cycles),
-                "icache_misses": float(cpu.icache_misses),
-                "dcache_misses": float(cpu.dcache_misses),
-            }
-            for cpu in self.cpus
-        ]
-
-    def describe(self) -> dict[str, Any]:
-        """Static machine description (delegates to the spec)."""
-        return self.spec.describe()

@@ -124,6 +124,8 @@ class MultiCoreConfig:
             )
         if self.duration <= 0:
             raise ConfigurationError("duration must be positive")
+        if self.input_limit < 1:
+            raise ConfigurationError("input_limit must be >= 1")
         if self.num_flows < 1:
             raise ConfigurationError("num_flows must be >= 1")
         if self.app_classes < 1:

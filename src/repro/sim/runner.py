@@ -114,6 +114,8 @@ class SimulationConfig:
             )
         if self.duration <= 0:
             raise ConfigurationError("duration must be positive")
+        if self.input_limit < 1:
+            raise ConfigurationError("input_limit must be >= 1")
         if self.drop_policy not in DROP_POLICIES:
             raise ConfigurationError(
                 f"unknown drop policy {self.drop_policy!r}; expected one of "

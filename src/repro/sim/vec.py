@@ -18,6 +18,13 @@ steps.  :func:`try_drive_vec` runs it on one core;
 :func:`repro.sim.multicore.drive_multicore` gives every eligible core
 its own engine, since cores couple only through dispatch at admission.
 
+*Three template kinds.*  ``conventional`` and ``ilp`` run one message
+through the whole stack per step; ``grouped`` runs one batch group by
+group (:class:`~repro.core.scheduler.GroupedLDLPScheduler`), and
+per-layer LDLP is that kind with one layer per group, exactly as
+:class:`~repro.core.scheduler.LDLPScheduler` is in the scalar
+schedulers.
+
 *Static step templates.*  For a given scheduler kind, the sequence of
 (layer, message-slot) invocations a service step performs — and hence
 the full reference stream it pushes through each cache — is a pure
@@ -164,9 +171,9 @@ class _VecEngine:
 
         Mirrors each scalar scheduler's invocation order exactly (the
         order determines cache behaviour — it is the paper's whole
-        subject): conventional/ILP are message-major, LDLP is
-        layer-major over the batch, grouped is group-major with one
-        queue hop per group.
+        subject): conventional/ILP are message-major, grouped is
+        group-major with one queue hop per group (per-layer LDLP, one
+        layer per group, is layer-major over the batch).
         """
         num_layers = len(self.placed)
         queue_cost = float(FootprintExecutor.QUEUE_INSTRUCTIONS)
@@ -176,12 +183,6 @@ class _VecEngine:
             program = [(0, 0, True, self.extra_per_byte * sizes[0])]
             program += [(index, 0, False, 0.0) for index in range(1, num_layers)]
             return program
-        if self.kind == "ldlp":
-            return [
-                (layer_index, slot, True, queue_cost)
-                for layer_index in range(num_layers)
-                for slot in range(len(sizes))
-            ]
         assert self.groups is not None
         program = []
         for members in self.groups:
@@ -197,15 +198,8 @@ class _VecEngine:
         self, batch: int, invocations: int
     ) -> list[tuple[int, int]]:
         """Per-message completion (slot, addend index) in scalar order."""
-        num_layers = len(self.placed)
         if self.kind in ("conventional", "ilp"):
             return [(0, _SLOTS * invocations)]
-        if self.kind == "ldlp":
-            first_top = (num_layers - 1) * batch
-            return [
-                (slot, _SLOTS * (first_top + slot) + _SLOTS)
-                for slot in range(batch)
-            ]
         assert self.groups is not None
         last = len(self.groups[-1])
         offset = batch * sum(len(members) for members in self.groups[:-1])
@@ -362,11 +356,13 @@ def _scheduler_kind(scheduler: Scheduler) -> str | None:
 
     Exact-type checks: a subclass may override service semantics, and
     silently vectorizing it would break the scalar≡vec contract.
+    :class:`LDLPScheduler` is grouped LDLP with singleton groups, so it
+    replays through the ``"grouped"`` template.
     """
     for cls, kind in (
         (ConventionalScheduler, "conventional"),
         (ILPScheduler, "ilp"),
-        (LDLPScheduler, "ldlp"),
+        (LDLPScheduler, "grouped"),
         (GroupedLDLPScheduler, "grouped"),
     ):
         if type(scheduler) is cls:

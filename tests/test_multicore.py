@@ -35,7 +35,7 @@ from repro.errors import ConfigurationError
 from repro.experiments import multicore as experiment
 from repro.harness import ResultCache, run_experiment
 from repro.harness.cache import canonical_json
-from repro.machine.multicore import MultiCoreMachine, MultiCoreSpec
+from repro.machine.multicore import MultiCoreSpec
 from repro.obs.runtime import Recorder, recording
 from repro.sim.multicore import (
     MultiCoreConfig,
@@ -192,23 +192,17 @@ class TestMultiCoreSpec:
             )
 
     def test_shared_l2_is_one_instance(self):
-        machine = MultiCoreMachine(
-            MultiCoreSpec(
+        cores = build_cores(
+            MultiCoreConfig(
                 num_cores=3,
                 shared_l2=CacheGeometry(size=65536, line_size=32),
-            )
+            ),
+            0,
         )
-        assert machine.shared_l2 is not None
-        for cpu in machine.cpus:
-            assert cpu.hierarchy.l2 is machine.shared_l2
-
-    def test_per_core_counters_vocabulary(self):
-        machine = MultiCoreMachine(MultiCoreSpec(num_cores=2))
-        counters = machine.per_core_counters()
-        assert len(counters) == 2
-        assert set(counters[0]) == {
-            "cycles", "stall_cycles", "icache_misses", "dcache_misses",
-        }
+        shared = cores[0].binding.cpu.hierarchy.l2
+        assert shared is not None
+        for scheduler in cores:
+            assert scheduler.binding.cpu.hierarchy.l2 is shared
 
 
 # ----------------------------------------------------------------------
@@ -394,6 +388,10 @@ class TestMultiCoreRun:
             MultiCoreConfig(num_cores=0)
         with pytest.raises(ConfigurationError):
             MultiCoreConfig(num_flows=0)
+
+    def test_nonpositive_input_limit_rejected(self):
+        with pytest.raises(ConfigurationError, match="input_limit"):
+            MultiCoreConfig(input_limit=0, drop_policy="head")
 
 
 # ----------------------------------------------------------------------

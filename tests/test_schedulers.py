@@ -23,6 +23,7 @@ from repro.core import (
     group_layers_for_cache,
     process_blocked,
 )
+from repro.core.overload import HeadDrop
 from repro.errors import ConfigurationError, SchedulerError
 from repro.units import kb
 
@@ -61,6 +62,11 @@ class TestSchedulerBasics:
         assert accepted == [True, True, False, False]
         assert scheduler.drops == 2
         assert scheduler.arrivals == 4
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_nonpositive_input_limit_rejected(self, limit):
+        with pytest.raises(SchedulerError, match="input_limit"):
+            LDLPScheduler(stack_of(3), input_limit=limit, drop_policy=HeadDrop())
 
     def test_service_step_idle(self):
         scheduler = ConventionalScheduler(stack_of(1))

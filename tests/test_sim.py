@@ -53,6 +53,10 @@ class TestRunner:
         with pytest.raises(ConfigurationError):
             SimulationConfig(duration=0)
 
+    def test_nonpositive_input_limit_rejected(self):
+        with pytest.raises(ConfigurationError, match="input_limit"):
+            SimulationConfig(input_limit=0, drop_policy="head")
+
     def test_paper_stack_shape(self):
         layers = build_paper_stack()
         assert len(layers) == 5

@@ -31,7 +31,11 @@ from hypothesis import strategies as st
 from repro.core.binding import MachineBinding
 from repro.core.layer import CountingLayer, LayerFootprint
 from repro.core.overload import DROP_POLICIES
-from repro.core.scheduler import ConventionalScheduler, LDLPScheduler
+from repro.core.scheduler import (
+    ConventionalScheduler,
+    GroupedLDLPScheduler,
+    LDLPScheduler,
+)
 from repro.errors import ConfigurationError
 from repro.faults.campaigns import campaign_plan
 from repro.harness.cache import ResultCache, canonical_json
@@ -233,6 +237,18 @@ def test_vec_supported_envelope():
     # unsound and the engine must decline (ablations A3 hits this).
     big = build_paper_stack(code_bytes=12288)
     assert not vec_supported(ConventionalScheduler(big, MachineBinding()))
+    assert vec_supported(
+        GroupedLDLPScheduler(build_paper_stack(), MachineBinding())
+    )
+
+    # LDLP is grouped LDLP with singleton groups, but the kind check
+    # stays exact-type: a user subclass may override service semantics.
+    class Custom(LDLPScheduler):
+        pass
+
+    assert not vec_supported(Custom(build_paper_stack(), MachineBinding()))
+    ldlp = LDLPScheduler(build_paper_stack(), MachineBinding())
+    assert ldlp.describe_config()["groups"] == [[0], [1], [2], [3], [4]]
 
 
 def test_unsupported_stack_falls_back_to_scalar():
