@@ -36,10 +36,6 @@ class CacheGeometry:
         """Set count (equal to the line count: direct-mapped)."""
         return self.num_lines
 
-    def set_of_addr(self, addr: int) -> int:
-        """Cache set index a byte address maps to."""
-        return (addr // self.line_size) % self.num_lines
-
     def describe(self) -> dict[str, int]:
         """Static description for offline analysis and reports."""
         return {
@@ -202,7 +198,3 @@ class SplitCacheHierarchy:
         self.dcache.stats.reset()
         if self.l2 is not None:
             self.l2.stats.reset()
-
-    @property
-    def total_misses(self) -> int:
-        return self.icache.stats.misses + self.dcache.stats.misses

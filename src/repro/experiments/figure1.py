@@ -11,12 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from ..harness.points import SweepPoint, SweepSpec
-from ..netbsd.functions import CATALOG, catalog_by_name
+from ..netbsd.functions import CATALOG
 from ..netbsd.layers import PAPER_PHASES
 from ..netbsd.receive_path import PHASES, ReceivePathModel
-from ..trace.buffer import TraceBuffer
-from ..trace.phases import PhaseStats, phase_stats
+from ..trace import PhaseStats, RefKind, TraceBuffer, phase_stats
 from .report import render_table
 
 
@@ -80,14 +81,15 @@ class Figure1Result:
 
     def code_map(self, bar_width: int = 40) -> str:
         """ASCII active-code map: touched bytes per function per phase."""
-        by_name = catalog_by_name()
-        touched_lines: dict[str, dict[str, set[int]]] = {}
-        for label, sl in self.trace.phase_slices():
-            for ref in self.trace.refs[sl]:
-                if not ref.is_code() or ref.fn not in by_name:
-                    continue
-                per_fn = touched_lines.setdefault(ref.fn, {})
-                per_fn.setdefault(label, set()).add(ref.addr // 32)
+        trace = self.trace
+        touched_lines: dict[str, dict[str, int]] = {}
+        for label, sl in trace.phase_slices():
+            code = trace.kind[sl] == RefKind.CODE.code
+            fn, line = trace.fn[sl][code], trace.addr[sl][code] // 32
+            pairs = np.unique((fn[fn >= 0].astype(np.int64) << 32) | line[fn >= 0])
+            ids, counts = np.unique(pairs >> 32, return_counts=True)
+            for fn_id, count in zip(ids.tolist(), counts.tolist()):
+                touched_lines.setdefault(trace.fn_names[fn_id], {})[label] = count
         lines_out = ["Active code map (one row per function; # = 64 touched bytes)"]
         header = f"{'function':<22}{'size':>6}  " + "  ".join(
             f"{phase:<14}" for phase in PHASES
@@ -99,7 +101,7 @@ class Figure1Result:
                 continue
             cells = []
             for phase in PHASES:
-                count = len(per_fn.get(phase, ())) * 32
+                count = per_fn.get(phase, 0) * 32
                 bar = "#" * min(bar_width, count // 64)
                 cells.append(f"{bar:<14}")
             lines_out.append(f"{spec.name:<22}{spec.size:>6}  " + "  ".join(cells))

@@ -12,10 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from ..harness.points import SweepPoint, SweepSpec
 from ..netbsd.functions import fn_to_layer_map
 from ..netbsd.receive_path import PHASES, ReceivePathModel
-from ..trace.buffer import TraceBuffer
+from ..trace import RefKind, TraceBuffer
 
 #: The events Table 2's narrative requires of each phase: function
 #: pairs (caller precedes callee in the phase's execution order).
@@ -49,11 +51,10 @@ class Table2Result:
 
     def phase_functions(self, phase: str) -> list[str]:
         """Functions executing in a phase, in first-execution order."""
-        seen: dict[str, None] = {}
-        for ref in self.trace.refs_in_phase(phase):
-            if ref.is_code() and ref.fn:
-                seen.setdefault(ref.fn)
-        return list(seen)
+        sl = self.trace.phase_slice(phase)
+        fn = self.trace.fn[sl][self.trace.kind[sl] == RefKind.CODE.code]
+        ids, first = np.unique(fn[fn >= 0], return_index=True)
+        return [self.trace.fn_names[i] for i in ids[np.argsort(first)].tolist()]
 
     def narrative_holds(self) -> bool:
         """Every Table-2 ordering appears in the generated trace."""

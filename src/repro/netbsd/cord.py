@@ -19,9 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..cache.workingset import Category, WorkingSetAnalyzer
 from ..trace.buffer import TraceBuffer
-from ..trace.record import MemRef
+from ..trace.record import RefKind
 from .receive_path import LINE, WORD, ReceivePathModel
 
 
@@ -52,13 +54,6 @@ class DilutionReport:
             return 0.0
         return 1.0 - self.executed_bytes / self.fetched_bytes
 
-    @property
-    def line_savings(self) -> float:
-        """Fractional working-set line reduction from dense layout."""
-        if not self.lines_before:
-            return 0.0
-        return 1.0 - self.lines_after / self.lines_before
-
 
 def measure_dilution(analyzer: WorkingSetAnalyzer, line_size: int = 32) -> DilutionReport:
     """Measure code dilution from an existing working-set analysis."""
@@ -81,30 +76,29 @@ def compact_trace(model: ReceivePathModel, trace: TraceBuffer) -> TraceBuffer:
     data references and trace structure are untouched.  The result is
     analyzable by the same pipeline as the original.
     """
-    # First pass: assign packed offsets per function in first-touch order.
-    packed: dict[str, dict[int, int]] = {}
-    for ref in trace.refs:
-        if not ref.is_code() or ref.fn is None:
-            continue
-        mapping = packed.setdefault(ref.fn, {})
-        word = ref.addr // WORD
-        if word not in mapping:
-            mapping[word] = len(mapping)
-
-    bases = {
-        name: placed.base for name, placed in model._functions.items()
-    }
-    compacted = TraceBuffer()
-    compacted.phase_marks = list(trace.phase_marks)
-    compacted.call_events = list(trace.call_events)
-    for ref in trace.refs:
-        if ref.is_code() and ref.fn in packed and ref.fn in bases:
-            offset = packed[ref.fn][ref.addr // WORD]
-            new_addr = bases[ref.fn] + offset * WORD
-            compacted.refs.append(MemRef(ref.kind, new_addr, ref.size, ref.fn))
-        else:
-            compacted.refs.append(ref)
-    return compacted
+    kind, addr, size, fn = trace.kind, trace.addr, trace.size, trace.fn
+    base = np.array(
+        [model._functions[name].base if name in model._functions else -1
+         for name in trace.fn_names] + [-1]  # fn id -1 indexes the -1
+    )[fn]
+    moved = (kind == RefKind.CODE.code) & (base >= 0)
+    # Offset of each distinct (function, word) pair: its rank among the
+    # function's words by first execution.
+    pairs, first, inverse = np.unique(
+        (fn[moved].astype(np.int64) << 32) | (addr[moved] // WORD),
+        return_index=True,
+        return_inverse=True,
+    )
+    owner = pairs >> 32
+    order = np.lexsort((first, owner))
+    start = np.searchsorted(owner[order], owner[order])
+    offset = np.empty(pairs.size, np.int64)
+    offset[order] = np.arange(pairs.size) - start
+    new_addr = addr.copy()
+    new_addr[moved] = base[moved] + offset[inverse] * WORD
+    return TraceBuffer.from_columns(
+        (kind, new_addr, size, fn), trace.fn_names, trace.phase_marks, trace.call_events
+    )
 
 
 @dataclass(frozen=True)
@@ -138,7 +132,5 @@ def run_cord_experiment(seed: int = 0) -> CordResult:
     before = measure_dilution(analyzer)
 
     compacted = compact_trace(model, trace)
-    after_analyzer = WorkingSetAnalyzer(model.classifier())
-    after_analyzer.consume(model.table1_refs(compacted))
-    after = after_analyzer.totals_at(LINE)[Category.CODE]
+    after = model.analyze(compacted).totals_at(LINE)[Category.CODE]
     return CordResult(before=before, lines_measured_after=after.lines)

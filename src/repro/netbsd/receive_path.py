@@ -17,14 +17,17 @@ Calibration targets:
   caption excludes but the phase totals include — are modelled with
   tuned aux touch counts).
 
-The emitted trace is a plain :class:`~repro.trace.TraceBuffer`; all
-analysis runs through the generic pipeline.
+The emitted trace is a plain :class:`~repro.trace.TraceBuffer` built as
+columns: each emit (a function's touch-map prefix, its loop revisits, a
+layer's data words, an aux region) appends one block of addresses.  All
+analysis runs through the generic columnar pipeline; Table 1's aux
+exclusion is the boolean mask :meth:`ReceivePathModel.table1_mask`.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from ..errors import ConfigurationError
 from ..obs.runtime import active_recorder
 from ..trace.buffer import TraceBuffer
 from ..trace.classify import LayerClassifier
-from ..trace.record import MemRef, RefKind
+from ..trace.record import RefKind
 from .functions import ALL_LAYERS, CATALOG, FunctionSpec, fn_to_layer_map
 from .layers import PAPER_TABLE1
 from .touchmap import (
@@ -321,51 +324,33 @@ MESSAGE_PLAN: dict[str, tuple[int, int, int, int]] = {
 }
 
 
+def _prefix_counts(words: np.ndarray) -> list[int]:
+    """prefix_counts[k] = number of words covering the first k lines."""
+    if not words.size:
+        return [0]
+    _, first = np.unique(words // WORDS_PER_LINE, return_index=True)
+    # Words are sorted, so line k + 1 starts where the first k lines end.
+    return [0, *np.sort(first)[1:].tolist(), words.size]
+
+
 @dataclass
-class _PlacedFunction:
-    spec: FunctionSpec
+class _TouchMap:
+    """A placed function (with its ``spec``) or data region."""
+
     base: int
     #: Absolute word addresses of the full touch map (budget lines).
     words: np.ndarray
-    #: Word count covering the first k lines, for k = 0..budget.
-    prefix_counts: list[int] = field(default_factory=list)
+    spec: FunctionSpec | None = None
+
+    def __post_init__(self) -> None:
+        #: Word count covering the first k lines, for k = 0..budget.
+        self.prefix_counts = _prefix_counts(self.words)
 
     def words_for_lines(self, lines: int) -> np.ndarray:
         """The touch-map prefix covering ``lines`` distinct lines."""
         if lines <= 0:
             return self.words[:0]
         return self.words[: self.prefix_counts[min(lines, len(self.prefix_counts) - 1)]]
-
-
-@dataclass
-class _DataRegion:
-    layer: str
-    mutable: bool
-    base: int
-    words: np.ndarray  # absolute word addresses (full budget)
-    prefix_counts: list[int] = field(default_factory=list)
-
-    def words_for_lines(self, lines: int) -> np.ndarray:
-        if lines <= 0:
-            return self.words[:0]
-        return self.words[: self.prefix_counts[min(lines, len(self.prefix_counts) - 1)]]
-
-
-def _prefix_counts(words: np.ndarray) -> list[int]:
-    """prefix_counts[k] = number of words covering the first k lines."""
-    counts = [0]
-    seen: set[int] = set()
-    for index, word in enumerate(words):
-        line = int(word) // WORDS_PER_LINE
-        if line not in seen:
-            seen.add(line)
-            counts.append(index + 1)
-        else:
-            counts[-1] = index + 1
-    # Ensure counts[k] includes every word belonging to the first k lines
-    # (words are sorted, but a line's words may interleave with the next
-    # line's; with sorted words they cannot, so the above is exact).
-    return counts
 
 
 class ReceivePathModel:
@@ -375,14 +360,17 @@ class ReceivePathModel:
     CODE_BASE = 0x0
     DATA_BASE = 0x100000
     AUX_BASE = 0x200000
+    #: Aux regions: a 16 KB stack, a 1 KB message buffer, a 4 KB DMA ring.
+    stack_base, stack_size = AUX_BASE, 16 * 1024
+    message_base, message_size = AUX_BASE + 0x10000, 1024
+    dma_base, dma_size = AUX_BASE + 0x20000, 4096
 
     def __init__(self, seed: int = 0) -> None:
         self.rng = np.random.default_rng(seed)
-        self._functions: dict[str, _PlacedFunction] = {}
-        self._regions: dict[tuple[str, bool], _DataRegion] = {}
+        self._functions: dict[str, _TouchMap] = {}
+        self._regions: dict[tuple[str, bool], _TouchMap] = {}
         self._place_functions()
         self._place_data_regions()
-        self._place_aux_regions()
         self._validate_plan()
 
     # ------------------------------------------------------------------
@@ -394,10 +382,9 @@ class ReceivePathModel:
             plan = CODE_PLAN.get(spec.name)
             budget = plan.budget if plan else 0
             words_rel = synthesize_code_touch_words(spec.size, budget, self.rng)
-            words = words_rel + cursor // WORD
-            placed = _PlacedFunction(spec=spec, base=cursor, words=words)
-            placed.prefix_counts = _prefix_counts(words)
-            self._functions[spec.name] = placed
+            self._functions[spec.name] = _TouchMap(
+                base=cursor, words=words_rel + cursor // WORD, spec=spec
+            )
             cursor += -(-spec.size // LINE) * LINE  # line-align next fn
 
     def _place_data_regions(self) -> None:
@@ -415,24 +402,10 @@ class ReceivePathModel:
                 words_rel = synthesize_data_touch_words(
                     size, target_lines, self.rng, pair_prob=pair_prob
                 )
-                region = _DataRegion(
-                    layer=layer,
-                    mutable=mutable,
-                    base=cursor,
-                    words=words_rel + cursor // WORD,
+                self._regions[(layer, mutable)] = _TouchMap(
+                    base=cursor, words=words_rel + cursor // WORD
                 )
-                region.prefix_counts = _prefix_counts(region.words)
-                self._regions[(layer, mutable)] = region
                 cursor += size
-
-    def _place_aux_regions(self) -> None:
-        # Stack: 16 KB; message buffer: 1 KB; DMA ring: 4 KB.
-        self.stack_base = self.AUX_BASE
-        self.stack_size = 16 * 1024
-        self.message_base = self.AUX_BASE + 0x10000
-        self.message_size = 1024
-        self.dma_base = self.AUX_BASE + 0x20000
-        self.dma_size = 4096
 
     def _validate_plan(self) -> None:
         for name in CODE_PLAN:
@@ -470,16 +443,17 @@ class ReceivePathModel:
         data_cum: dict[str, float] = {}
         for phase in PHASES:
             trace.mark_phase(phase)
+            start = len(trace)
             handle = (
-                recorder.begin("trace-gen", phase, float(len(trace.refs)))
+                recorder.begin("trace-gen", phase, float(start))
                 if recorder is not None
                 else None
             )
             self._emit_phase(trace, phase, data_cum)
             if recorder is not None and handle is not None:
-                handle.args["refs"] = len(trace.refs) - int(handle.start)
-                recorder.end(handle, float(len(trace.refs)))
-                recorder.count("trace.refs", float(len(trace.refs)) - handle.start)
+                handle.args["refs"] = len(trace) - start
+                recorder.end(handle, float(len(trace)))
+                recorder.count("trace.refs", float(len(trace) - start))
         return trace
 
     def _emit_phase(
@@ -523,17 +497,13 @@ class ReceivePathModel:
         if plan is None:
             return
         words = placed.words_for_lines(plan.lines_in(phase))
-        for word in words:
-            trace.append(MemRef(RefKind.CODE, int(word) * WORD, WORD, fn_name))
+        trace.append(RefKind.CODE, words * WORD, WORD, fn_name)
         loop_extra = LOOP_REFS[phase].get(fn_name, 0)
         if loop_extra and words.size:
             # Loop iterations revisit a small window of the function.
             window = words[: min(16, words.size)]
             picks = rng.integers(0, window.size, size=loop_extra)
-            for pick in picks:
-                trace.append(
-                    MemRef(RefKind.CODE, int(window[pick]) * WORD, WORD, fn_name)
-                )
+            trace.append(RefKind.CODE, window[picks] * WORD, WORD, fn_name)
 
     def _phase_fraction(self, layer: str, phase: str) -> float:
         """Layer's code presence in a phase, as a fraction of its budget."""
@@ -569,20 +539,14 @@ class ReceivePathModel:
             total_lines = len(region.prefix_counts) - 1
             lines = round(total_lines * cumulative)
             words = region.words_for_lines(lines)
-            if words.size == 0:
-                continue
-            for word in words:
-                trace.append(MemRef(RefKind.READ, int(word) * WORD, WORD, fn_name))
+            trace.append(RefKind.READ, words * WORD, WORD, fn_name)
             if mutable:
                 # Every touched word of a mutable region is written
                 # back (these are the fields the path updates), so the
                 # mutable classification survives reanalysis at any
                 # line size — which is what Table 3's mutable column
                 # measures.
-                for word in words:
-                    trace.append(
-                        MemRef(RefKind.WRITE, int(word) * WORD, WORD, fn_name)
-                    )
+                trace.append(RefKind.WRITE, words * WORD, WORD, fn_name)
 
     def _emit_aux(self, trace: TraceBuffer, phase: str, rng: np.random.Generator) -> None:
         read_lines, read_refs, write_lines, write_refs = AUX_PLAN[phase]
@@ -628,13 +592,11 @@ class ReceivePathModel:
         chosen = rng.permutation(capacity)[:lines]
         addrs = base + chosen * LINE + (rng.integers(0, WORDS_PER_LINE, lines) * WORD)
         # First touch each line once, then distribute the remaining refs.
-        for addr in addrs:
-            trace.append(MemRef(kind, int(addr), WORD, fn))
+        trace.append(kind, addrs, WORD, fn)
         extra = refs - lines
         if extra > 0:
             picks = rng.integers(0, lines, size=extra)
-            for pick in picks:
-                trace.append(MemRef(kind, int(addrs[pick]), WORD, fn))
+            trace.append(kind, addrs[picks], WORD, fn)
 
     # ------------------------------------------------------------------
     # Analysis helpers
@@ -642,21 +604,18 @@ class ReceivePathModel:
     def classifier(self) -> LayerClassifier:
         return LayerClassifier(fn_to_layer_map())
 
-    def is_aux_addr(self, addr: int) -> bool:
+    def is_aux_addr(self, addr: int | np.ndarray) -> bool | np.ndarray:
         """True for stack / message / DMA addresses (excluded by Table 1)."""
         return addr >= self.AUX_BASE
 
-    def table1_refs(self, trace: TraceBuffer) -> list[MemRef]:
-        """References Table 1 counts: everything except aux regions."""
-        return [
-            ref
-            for ref in trace.refs
-            if ref.is_code() or not self.is_aux_addr(ref.addr)
-        ]
+    def table1_mask(self, trace: TraceBuffer) -> np.ndarray:
+        """Which references Table 1 counts: everything except aux data."""
+        return (trace.kind == RefKind.CODE.code) | ~self.is_aux_addr(trace.addr)
 
     def analyze(self, trace: TraceBuffer | None = None) -> WorkingSetAnalyzer:
         """Run the working-set analysis Table 1/3 are derived from."""
-        trace = trace or self.build_trace()
+        if trace is None:
+            trace = self.build_trace()
         analyzer = WorkingSetAnalyzer(self.classifier())
-        analyzer.consume(self.table1_refs(trace))
+        analyzer.consume(trace.select(self.table1_mask(trace)))
         return analyzer

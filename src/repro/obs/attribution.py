@@ -223,7 +223,7 @@ class MissAttributor:
         open_phase = None
         span_stack: list[object] = []
 
-        for ref_index, ref in enumerate(trace.refs):
+        for ref_index, ref in enumerate(trace.rows()):
             # Close/open phase spans at their marked positions.
             while (
                 phase_index < len(phase_slices)
@@ -287,7 +287,7 @@ class MissAttributor:
                 recorder.end(span_stack.pop(), float(cycles))
             if open_phase is not None:
                 recorder.end(open_phase, float(cycles))
-            recorder.count("obs.replayed_refs", float(len(trace.refs)))
+            recorder.count("obs.replayed_refs", float(len(trace)))
             recorder.count("obs.modelled_cycles", float(cycles))
         result.cycles = cycles
         return result

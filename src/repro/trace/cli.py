@@ -14,7 +14,6 @@ import sys
 
 from ..cache.workingset import Category, WorkingSetAnalyzer
 from .callgraph import build_call_graph
-from .classify import LayerClassifier
 from .io import load_trace
 from .phases import phase_stats
 
@@ -22,10 +21,10 @@ from .phases import phase_stats
 def analyze(path: str, callgraph: bool = False, line_sizes: bool = False) -> str:
     """Produce the full text report for one trace file."""
     trace = load_trace(path)
-    sections: list[str] = [f"trace: {path} ({len(trace.refs)} references)"]
+    sections: list[str] = [f"trace: {path} ({len(trace)} references)"]
 
-    analyzer = WorkingSetAnalyzer(LayerClassifier())
-    analyzer.consume(trace.refs)
+    analyzer = WorkingSetAnalyzer()
+    analyzer.consume(trace)
     totals = analyzer.totals_at(32)
     sections.append(
         "working set (32-byte lines): "

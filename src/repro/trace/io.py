@@ -28,7 +28,7 @@ def dump_trace(trace: TraceBuffer, stream: TextIO) -> None:
     call_iter = iter(trace.call_events)
     next_phase = next(phase_iter, None)
     next_call = next(call_iter, None)
-    for index, ref in enumerate(trace.refs):
+    for index, ref in enumerate(trace.rows()):
         while next_phase is not None and next_phase.index == index:
             stream.write(f"# phase {next_phase.label}\n")
             next_phase = next(phase_iter, None)
@@ -56,39 +56,33 @@ def save_trace(trace: TraceBuffer, path: str | Path) -> None:
 
 def parse_trace(lines: Iterable[str]) -> TraceBuffer:
     """Parse a trace from an iterable of text lines."""
-    trace = TraceBuffer()
+    rows: list[MemRef] = []
+    phase_marks: list[PhaseMark] = []
+    call_events: list[CallEvent] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith(";"):
             continue
-        try:
-            trace_line(trace, line)
-        except TraceError:
-            raise
-        except (ValueError, IndexError) as exc:
-            raise TraceError(f"line {lineno}: cannot parse {line!r}") from exc
-    return trace
+        if line.startswith("# phase "):
+            phase_marks.append(PhaseMark(len(rows), line[len("# phase "):]))
+        elif line[:2] in ("> ", "< "):
+            call_events.append(CallEvent(len(rows), line[2:], enter=line[0] == ">"))
+        else:
+            rows.append(_parse_ref(line, lineno))
+    return TraceBuffer.from_rows(rows, phase_marks, call_events)
 
 
-def trace_line(trace: TraceBuffer, line: str) -> None:
-    """Apply one parsed trace line to a buffer."""
-    if line.startswith("# phase "):
-        trace.phase_marks.append(PhaseMark(len(trace.refs), line[len("# phase "):]))
-        return
-    if line.startswith("> "):
-        trace.call_events.append(CallEvent(len(trace.refs), line[2:], enter=True))
-        return
-    if line.startswith("< "):
-        trace.call_events.append(CallEvent(len(trace.refs), line[2:], enter=False))
-        return
+def _parse_ref(line: str, lineno: int) -> MemRef:
     fields = line.split()
     if len(fields) not in (3, 4):
         raise TraceError(f"malformed reference line {line!r}")
     kind = RefKind.from_letter(fields[0])
-    addr = int(fields[1], 0)
-    size = int(fields[2])
-    fn = fields[3] if len(fields) == 4 else None
-    trace.refs.append(MemRef(kind, addr, size, fn))
+    try:
+        addr = int(fields[1], 0)
+        size = int(fields[2])
+    except ValueError as exc:
+        raise TraceError(f"line {lineno}: cannot parse {line!r}") from exc
+    return MemRef(kind, addr, size, fields[3] if len(fields) == 4 else None)
 
 
 def load_trace(path: str | Path) -> TraceBuffer:

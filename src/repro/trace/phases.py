@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .buffer import TraceBuffer
-from .record import MemRef, RefKind
+from .record import RefKind, span_units
 
 
 @dataclass(frozen=True)
@@ -40,30 +42,22 @@ class PhaseStats:
         )
 
 
-def _totals(refs: list[MemRef], kind: RefKind, line_size: int) -> KindTotals:
-    lines: set[int] = set()
-    count = 0
-    for ref in refs:
-        if ref.kind is not kind:
-            continue
-        count += 1
-        first = ref.addr // line_size
-        last = (ref.end - 1) // line_size
-        lines.update(range(first, last + 1))
-    return KindTotals(bytes=len(lines) * line_size, refs=count)
+def _totals(trace: TraceBuffer, sl: slice, kind: RefKind, line_size: int) -> KindTotals:
+    mask = trace.kind[sl] == kind.code
+    lines, _ = span_units(trace.addr[sl][mask], trace.size[sl][mask], line_size)
+    return KindTotals(bytes=np.unique(lines).size * line_size, refs=int(mask.sum()))
 
 
 def phase_stats(trace: TraceBuffer, line_size: int = 32) -> list[PhaseStats]:
     """Compute Figure-1-style per-phase totals for every phase of a trace."""
     result = []
     for label, sl in trace.phase_slices():
-        refs = trace.refs[sl]
         result.append(
             PhaseStats(
                 label=label,
-                write=_totals(refs, RefKind.WRITE, line_size),
-                read=_totals(refs, RefKind.READ, line_size),
-                code=_totals(refs, RefKind.CODE, line_size),
+                write=_totals(trace, sl, RefKind.WRITE, line_size),
+                read=_totals(trace, sl, RefKind.READ, line_size),
+                code=_totals(trace, sl, RefKind.CODE, line_size),
             )
         )
     return result

@@ -1,16 +1,19 @@
 """Memory-reference records — the atoms of a trace.
 
 The paper's tracing apparatus (Section 2.2) simulates Alpha instructions
-and logs every memory reference to a trace buffer.  Our traces are
-streams of :class:`MemRef` records carrying the same information the
-analysis needs: what kind of access, where, how wide, and which function
-was executing (used for layer classification, Table 1).
+and logs every memory reference to a trace buffer.  A trace stores its
+references as int columns (see :class:`~repro.trace.buffer.TraceBuffer`);
+:class:`MemRef` is the row view of one of them: what kind of access,
+where, how wide, and which function was executing (used for layer
+classification, Table 1).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..errors import TraceError
 
@@ -33,10 +36,19 @@ class RefKind(enum.Enum):
                 return kind
         raise TraceError(f"unknown reference kind {letter!r}")
 
+    @property
+    def code(self) -> int:
+        """This kind's value in a trace's ``kind`` column."""
+        return KINDS.index(self)
+
+
+#: Reference kinds in ``kind``-column order.
+KINDS = tuple(RefKind)
+
 
 @dataclass(frozen=True, slots=True)
 class MemRef:
-    """One memory reference.
+    """One memory reference (a row of a trace).
 
     Attributes
     ----------
@@ -58,12 +70,6 @@ class MemRef:
     size: int = 4
     fn: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.addr < 0:
-            raise TraceError(f"reference address must be non-negative, got {self.addr}")
-        if self.size <= 0:
-            raise TraceError(f"reference size must be positive, got {self.size}")
-
     @property
     def end(self) -> int:
         """One past the last byte referenced."""
@@ -76,16 +82,18 @@ class MemRef:
         return self.kind is RefKind.WRITE
 
 
-def code_ref(addr: int, size: int = 4, fn: str | None = None) -> MemRef:
-    """Convenience constructor for an instruction fetch."""
-    return MemRef(RefKind.CODE, addr, size, fn)
-
-
-def read_ref(addr: int, size: int = 4, fn: str | None = None) -> MemRef:
-    """Convenience constructor for a data load."""
-    return MemRef(RefKind.READ, addr, size, fn)
-
-
-def write_ref(addr: int, size: int = 4, fn: str | None = None) -> MemRef:
-    """Convenience constructor for a data store."""
-    return MemRef(RefKind.WRITE, addr, size, fn)
+def span_units(
+    addr: np.ndarray, size: np.ndarray, unit: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(units, ref)``: every ``unit``-byte block the references touch, in
+    trace order (ascending within a reference), and each one's reference."""
+    first = addr // unit
+    count = (addr + size - 1) // unit - first + 1
+    ref = np.repeat(np.arange(addr.size), count)
+    # Unit i is first[ref[i]] plus i minus the index of that reference's
+    # first unit; built in place, so one expanded temporary is live.
+    first -= np.cumsum(count) - count
+    units = first[ref]
+    del first
+    units += np.arange(ref.size)
+    return units, ref

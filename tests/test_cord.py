@@ -11,13 +11,15 @@ from repro.netbsd import (
     measure_dilution,
     run_cord_experiment,
 )
-from repro.trace import LayerClassifier, code_ref
+from repro.trace import LayerClassifier, MemRef, RefKind
+
+CODE = RefKind.CODE
 
 
 class TestMeasureDilution:
     def test_fully_dense_code_has_zero_dilution(self):
         ws = WorkingSetAnalyzer(LayerClassifier({"f": "L"}))
-        ws.consume([code_ref(i, 4, "f") for i in range(0, 320, 4)])
+        ws.consume([MemRef(CODE, i, 4, "f") for i in range(0, 320, 4)])
         report = measure_dilution(ws)
         assert report.dilution == pytest.approx(0.0)
         assert report.lines_before == report.lines_after
@@ -28,17 +30,16 @@ class TestMeasureDilution:
         refs = []
         for line in range(10):
             for word in range(4):
-                refs.append(code_ref(line * 32 + word * 4, 4, "f"))
+                refs.append(MemRef(CODE, line * 32 + word * 4, 4, "f"))
         ws.consume(refs)
         report = measure_dilution(ws)
         assert report.dilution == pytest.approx(0.5)
-        assert report.lines_after == 5
-        assert report.line_savings == pytest.approx(0.5)
+        assert (report.lines_before, report.lines_after) == (10, 5)
 
     def test_empty_analyzer(self):
         report = measure_dilution(WorkingSetAnalyzer())
         assert report.dilution == 0.0
-        assert report.line_savings == 0.0
+        assert (report.lines_before, report.lines_after) == (0, 0)
 
 
 class TestReceivePathDilution:
@@ -70,7 +71,7 @@ class TestCompactTrace:
         model = ReceivePathModel(seed=0)
         trace = model.build_trace()
         compacted = compact_trace(model, trace)
-        assert len(compacted.refs) == len(trace.refs)
+        assert len(compacted.rows()) == len(trace.rows())
         assert compacted.phase_marks == trace.phase_marks
         assert compacted.call_events == trace.call_events
 
@@ -78,7 +79,7 @@ class TestCompactTrace:
         model = ReceivePathModel(seed=0)
         trace = model.build_trace()
         compacted = compact_trace(model, trace)
-        for original, packed in zip(trace.refs, compacted.refs):
+        for original, packed in zip(trace.rows(), compacted.rows()):
             if not original.is_code():
                 assert original == packed
 
@@ -87,7 +88,7 @@ class TestCompactTrace:
         trace = model.build_trace()
         compacted = compact_trace(model, trace)
         functions = model._functions
-        for ref in compacted.refs[:5000]:
+        for ref in compacted.rows()[:5000]:
             if ref.is_code() and ref.fn in functions:
                 placed = functions[ref.fn]
                 assert placed.base <= ref.addr < placed.base + placed.spec.size
@@ -98,7 +99,8 @@ class TestCompactTrace:
         trace = model.build_trace()
         before = model.analyze(trace)
         after = WorkingSetAnalyzer(model.classifier())
-        after.consume(model.table1_refs(compact_trace(model, trace)))
+        compacted = compact_trace(model, trace)
+        after.consume(compacted.select(model.table1_mask(compacted)))
         assert (
             before.totals_at(4)[Category.CODE].bytes
             == after.totals_at(4)[Category.CODE].bytes

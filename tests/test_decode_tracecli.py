@@ -92,20 +92,20 @@ class TestDecodeFrame:
 class TestTraceCli:
     @pytest.fixture()
     def trace_file(self, tmp_path):
-        from repro.trace import TraceBuffer, code_ref, read_ref, write_ref
+        from repro.trace import RefKind, TraceBuffer
 
         trace = TraceBuffer()
         trace.mark_phase("entry")
         trace.enter("fn_a")
-        trace.append(code_ref(0, 4))
-        trace.append(read_ref(1000, 8))
+        trace.append(RefKind.CODE, 0, 4)
+        trace.append(RefKind.READ, 1000, 8)
         trace.enter("fn_b")
-        trace.append(write_ref(2000, 4))
+        trace.append(RefKind.WRITE, 2000, 4)
         trace.leave()
         trace.leave()
         trace.mark_phase("exit")
         trace.enter("fn_c")
-        trace.append(code_ref(64, 4))
+        trace.append(RefKind.CODE, 64, 4)
         trace.leave()
         path = tmp_path / "small.trace"
         save_trace(trace, path)

@@ -21,6 +21,7 @@ from repro.netbsd import (
     synthesize_data_touch_words,
     table1_row_sum,
 )
+from repro.trace.buffer import TraceBuffer
 from repro.trace.callgraph import build_call_graph
 from repro.trace.io import dump_trace, parse_trace
 from repro.trace.phases import phase_stats
@@ -141,6 +142,16 @@ class TestReceivePathModel:
             assert report.layer(layer, Category.READONLY).bytes == target.readonly
             assert report.layer(layer, Category.MUTABLE).bytes == target.mutable
 
+    def test_empty_trace_analyzes_to_zero(self, model):
+        """An empty trace is analysed as given, not replaced by a fresh
+        build (a TraceBuffer with no references is falsy)."""
+        analyzer = model.analyze(TraceBuffer())
+        for line_size in (4, 32, 64):
+            report = analyzer.report(line_size)
+            assert report.grand_total_bytes() == 0
+            for category in Category:
+                assert report.total(category).lines == 0
+
     def test_table1_exact_other_seed(self):
         model = ReceivePathModel(seed=99)
         report = model.analyze().report(32)
@@ -169,11 +180,11 @@ class TestReceivePathModel:
         assert "tcp_output" in graph.transitive_callees("cpu_switch")
 
     def test_aux_refs_excluded_from_table1(self, model, trace):
-        kept = model.table1_refs(trace)
+        kept = trace.select(model.table1_mask(trace)).rows()
         assert all(
             ref.is_code() or not model.is_aux_addr(ref.addr) for ref in kept
         )
-        assert len(kept) < len(trace.refs)
+        assert len(kept) < len(trace.rows())
 
     def test_trace_io_roundtrip(self, trace):
         import io
@@ -181,8 +192,8 @@ class TestReceivePathModel:
         stream = io.StringIO()
         dump_trace(trace, stream)
         parsed = parse_trace(stream.getvalue().splitlines())
-        assert len(parsed.refs) == len(trace.refs)
-        assert parsed.refs[:100] == trace.refs[:100]
+        assert len(parsed.rows()) == len(trace.rows())
+        assert parsed.rows()[:100] == trace.rows()[:100]
         assert parsed.phase_marks == trace.phase_marks
 
     def test_working_set_dwarfs_cache(self, model, trace):
@@ -198,9 +209,9 @@ class TestReceivePathModel:
         model = ReceivePathModel(seed=0)
         message_refs = sum(
             1
-            for ref in trace.refs
+            for ref in trace.rows()
             if not ref.is_code()
             and model.message_base <= ref.addr < model.message_base + 1024
         )
-        code_refs = sum(1 for ref in trace.refs if ref.is_code())
+        code_refs = sum(1 for ref in trace.rows() if ref.is_code())
         assert message_refs < 0.05 * code_refs

@@ -95,10 +95,10 @@ class TestNoOpEquivalence:
         plain = ReceivePathModel(seed=0).build_trace()
         with recording(Recorder()):
             traced = ReceivePathModel(seed=0).build_trace()
-        assert len(plain.refs) == len(traced.refs)
+        assert len(plain.rows()) == len(traced.rows())
         assert all(
             a.addr == b.addr and a.kind == b.kind
-            for a, b in zip(plain.refs, traced.refs)
+            for a, b in zip(plain.rows(), traced.rows())
         )
 
 
