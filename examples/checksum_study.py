@@ -15,7 +15,7 @@ Run:  python examples/checksum_study.py
 """
 
 from repro.buffers import MbufChain
-from repro.experiments import figure8
+from repro.harness import ResultCache, get_spec, run_experiment
 from repro.protocols import (
     checksum_chain,
     internet_checksum,
@@ -44,7 +44,10 @@ def main() -> None:
     print(__doc__)
     correctness_demo()
     print()
-    result = figure8.run()
+    # The Figure 8 sweep, run as `ldlp-experiment run figure8` runs it.
+    spec = get_spec("figure8")
+    run = run_experiment(spec, cache=ResultCache(enabled=False))
+    result = spec.assemble(run.points, run.results)
     print(result.render())
     print()
     crossover = result.cold_crossover()

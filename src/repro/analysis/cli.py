@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "check every experiment's sweep-point import closure against "
             "its declared cache sources (HARN001) and registry sweep "
-            "coverage (HARN002-HARN004)"
+            "coverage (HARN002-HARN006)"
         ),
     )
     parser.add_argument(

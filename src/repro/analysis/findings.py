@@ -168,6 +168,24 @@ RULES: dict[str, Rule] = {
             "wire layout would drift unpinned by the golden gate.",
         ),
         Rule(
+            "HARN005",
+            "unexercised-scheduler",
+            Severity.ERROR,
+            "Reproduction methodology",
+            "A scheduler named in repro.sim.runner.SCHEDULER_NAMES is "
+            "not exercised by any multicore sweep point at any scale; "
+            "its behaviour would drift unpinned by the golden gate.",
+        ),
+        Rule(
+            "HARN006",
+            "unexercised-drop-policy",
+            Severity.ERROR,
+            "Reproduction methodology",
+            "A drop policy registered in repro.core.overload is not "
+            "exercised by any faults sweep point at any scale; its "
+            "behaviour would drift unpinned by the golden gate.",
+        ),
+        Rule(
             "MBUF003",
             "mbuf-leak",
             Severity.WARNING,

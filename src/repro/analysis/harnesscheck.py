@@ -272,11 +272,17 @@ COVERAGE_RULES = (
     CoverageRule("HARN004", "repro.gossip.wire.FRAMING_MODES",
                  "gossip", "framing", "framing", "framing mode",
                  "wire layout"),
+    CoverageRule("HARN005", "repro.sim.runner.SCHEDULER_NAMES",
+                 "multicore", "scheduler", "scheduler", "scheduler",
+                 "behaviour"),
+    CoverageRule("HARN006", "repro.core.overload.DROP_POLICIES",
+                 "faults", "policy", "policy", "drop policy",
+                 "behaviour"),
 )
 
 
 def check_registry_coverage() -> list[Finding]:
-    """HARN002-HARN004 findings: registry entries no sweep exercises.
+    """HARN002-HARN006 findings: registry entries no sweep exercises.
 
     For each :data:`COVERAGE_RULES` row, every entry of the registry
     must appear as the row's parameter of at least one sweep point of
@@ -322,7 +328,7 @@ def check_all_specs() -> list[Finding]:
     """HARN findings across every registered experiment.
 
     HARN001 (undeclared cache sources) for each spec, plus the
-    registry sweep-coverage rules HARN002-HARN004
+    registry sweep-coverage rules HARN002-HARN006
     (:func:`check_registry_coverage`).
     """
     from ..harness.registry import all_specs

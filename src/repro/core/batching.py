@@ -70,8 +70,3 @@ class BatchPolicy:
         return cls.from_cache(
             spec.dcache.size, typical_message_bytes, layer_data_reserve
         )
-
-    @classmethod
-    def unlimited(cls) -> "BatchPolicy":
-        """No practical cap (ablation: what if batching were unbounded?)."""
-        return cls(max_batch=1_000_000)

@@ -1,9 +1,11 @@
 """Reproduction harnesses: one module per table/figure of the paper.
 
-Each module exposes ``run(...) -> <Result>`` returning a structured
-result with a ``render()`` text table and a shape/tolerance predicate,
-plus a ``main()`` entry point.  The ``ldlp-experiment`` CLI (see
-:mod:`repro.experiments.cli`) drives them from the shell.
+Each module declares a :class:`repro.harness.SweepSpec` named
+``SWEEP``: its sweep points, golden quantities, and an ``assemble``
+that rebuilds a structured result (with a ``render()`` text table and
+the paper's shape/tolerance predicates) from the point results.
+``ldlp-experiment run <name>`` (see :mod:`repro.experiments.cli`)
+runs the sweep and prints that table.
 """
 
 from . import (

@@ -2,87 +2,34 @@
 
 Usage::
 
-    ldlp-experiment table1
-    ldlp-experiment figure6 --paper-scale
-    ldlp-experiment all
-
-    ldlp-experiment run --jobs 4            # parallel harness + cache
+    ldlp-experiment run table1                    # one experiment's table
+    ldlp-experiment run --jobs 4                  # every experiment
     ldlp-experiment run figure5 figure6 --jobs 4 --scale default
-    ldlp-experiment regress --jobs 2        # golden regression gate
+    ldlp-experiment regress --jobs 2              # golden regression gate
     ldlp-experiment regress figure8 --bless
 
     ldlp-experiment trace figure6 --sink chrome   # Perfetto timeline
     ldlp-experiment trace receive --sink table    # live miss attribution
 
-    ldlp-experiment faults degradation --jobs 4   # fault campaign sweep
     ldlp-experiment faults injectors              # survival matrix
 
     ldlp-experiment analyze                       # full static-analysis report
     ldlp-experiment analyze --determinism         # DET gate (exit 1 on ERROR)
     ldlp-experiment analyze --list-rules          # rule registry
 
-The first form runs one experiment serially and prints its table.  The
-``run``/``regress`` forms go through :mod:`repro.harness`: sweep points
-fan out over a worker pool, results are cached by content hash, timings
-land in ``BENCH_experiments.json``, and ``regress`` gates reproduced
-quantities against the checked-in ``goldens/``.  ``trace`` goes through
-:mod:`repro.obs`: it re-runs one experiment under a recorder and emits
-a Chrome-trace timeline, a miss-attribution table, or counter metrics.
+``run`` and ``regress`` go through :mod:`repro.harness`: sweep points
+fan out over a worker pool, results are cached by content hash, ``run``
+prints each experiment's table assembled from its point results, and
+``regress`` gates reproduced quantities against the checked-in
+``goldens/``.  ``trace`` goes through :mod:`repro.obs`: it re-runs one
+experiment under a recorder and emits a Chrome-trace timeline, a
+miss-attribution table, or counter metrics.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-
-from . import (
-    ablations,
-    figure1,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    flows,
-    gossip,
-    motivation,
-    multicore,
-    schedules,
-    table1,
-    table2,
-    table3,
-)
-
-EXPERIMENTS = {
-    "table1": lambda args: print(table1.run(seed=args.seed).render()),
-    "table2": lambda args: table2.main(),
-    "table3": lambda args: print(table3.run(seed=args.seed).render()),
-    "figure1": lambda args: _figure1(args),
-    "figure5": lambda args: print(
-        figure5.run(paper_scale=args.paper_scale).render()
-    ),
-    "figure6": lambda args: print(
-        figure6.run(paper_scale=args.paper_scale).render()
-    ),
-    "figure7": lambda args: print(figure7.run().render()),
-    "figure8": lambda args: print(figure8.run().render()),
-    "ablations": lambda args: ablations.main(),
-    "schedules": lambda args: schedules.main(),
-    "motivation": lambda args: print(motivation.run().render()),
-    "multicore": lambda args: multicore.main(),
-    "flows": lambda args: flows.main(),
-    "gossip": lambda args: gossip.main(),
-    "analyze": lambda args: _analyze(args),
-}
-
-
-def _analyze(args: argparse.Namespace) -> None:
-    """Static analysis of both modelled stacks (see repro.analysis)."""
-    from ..analysis.cli import main as analysis_main
-
-    analysis_main(
-        ["--stack", "synthetic", "--stack", "netbsd", "--harness",
-         "--determinism", "--seed", str(args.seed), "--fail-on", "never"]
-    )
 
 
 def _analyze_command(argv: list[str]) -> int:
@@ -130,15 +77,37 @@ def _analyze_command(argv: list[str]) -> int:
     )
 
 
-def _figure1(args: argparse.Namespace) -> None:
-    result = figure1.run(seed=args.seed)
-    print(result.phase_table())
-    print()
-    print(result.code_map())
+def _harness_command(argv: list[str]) -> int:
+    from ..harness.cli import main as harness_main
+
+    return harness_main(argv)
+
+
+def _trace_command(argv: list[str]) -> int:
+    from ..obs.cli import main as obs_main
+
+    return obs_main(argv[1:])
+
+
+def _faults_command(argv: list[str]) -> int:
+    from ..faults.cli import main as faults_main
+
+    return faults_main(argv[1:])
+
+
+#: Every subcommand and its handler, which gets the full argument list
+#: (the command name first).
+COMMANDS = {
+    "run": _harness_command,
+    "regress": _harness_command,
+    "trace": _trace_command,
+    "faults": _faults_command,
+    "analyze": lambda argv: _analyze_command(argv[1:]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Parser for the serial one-experiment form."""
+    """The top-level parser: it names the subcommands and prints help."""
     parser = argparse.ArgumentParser(
         prog="ldlp-experiment",
         description=(
@@ -147,57 +116,24 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "experiment",
-        choices=sorted(EXPERIMENTS) + ["all"],
-        help="which table/figure to regenerate",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="model/placement seed")
-    parser.add_argument(
-        "--paper-scale",
-        action="store_true",
-        help="full paper methodology (100 placements x 1 s) where applicable",
+        "command",
+        choices=list(COMMANDS),
+        help=(
+            "run/regress: experiment sweeps; trace: obs timelines; "
+            "faults: fault campaigns; analyze: static analysis "
+            "(see 'ldlp-experiment <command> --help')"
+        ),
     )
     return parser
 
 
-#: Subcommands dispatched to the parallel harness CLI (repro.harness.cli).
-HARNESS_COMMANDS = ("run", "regress")
-
-#: Subcommand dispatched to the tracing CLI (repro.obs.cli).
-TRACE_COMMAND = "trace"
-
-#: Subcommand dispatched to the fault-campaign CLI (repro.faults.cli).
-FAULTS_COMMAND = "faults"
-
-#: Subcommand dispatched to the static-analysis CLI (repro.analysis.cli).
-ANALYZE_COMMAND = "analyze"
-
-
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry: dispatch harness/trace subcommands or run serially."""
+    """CLI entry: dispatch to the named subcommand."""
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == ANALYZE_COMMAND:
-        return _analyze_command(argv[1:])
-    if argv and argv[0] in HARNESS_COMMANDS:
-        from ..harness.cli import main as harness_main
-
-        return harness_main(argv)
-    if argv and argv[0] == TRACE_COMMAND:
-        from ..obs.cli import main as obs_main
-
-        return obs_main(argv[1:])
-    if argv and argv[0] == FAULTS_COMMAND:
-        from ..faults.cli import main as faults_main
-
-        return faults_main(argv[1:])
-    args = build_parser().parse_args(argv)
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    for index, name in enumerate(names):
-        if index:
-            print("\n" + "=" * 72 + "\n")
-        EXPERIMENTS[name](args)
-    return 0
+    if not argv or argv[0] not in COMMANDS:
+        build_parser().parse_args(argv[:1])  # help or a usage error; exits
+    return COMMANDS[argv[0]](argv)
 
 
 if __name__ == "__main__":

@@ -79,6 +79,10 @@ class Figure1Result:
             title="Figure 1 column totals: measured/paper",
         )
 
+    def render(self) -> str:
+        """The phase-total table, then the active-code map."""
+        return self.phase_table() + "\n\n" + self.code_map()
+
     def code_map(self, bar_width: int = 40) -> str:
         """ASCII active-code map: touched bytes per function per phase."""
         trace = self.trace
@@ -112,13 +116,6 @@ def run(seed: int = 0) -> Figure1Result:
     model = ReceivePathModel(seed=seed)
     trace = model.build_trace()
     return Figure1Result(trace=trace, stats=phase_stats(trace), seed=seed)
-
-
-def main() -> None:
-    result = run()
-    print(result.phase_table())
-    print()
-    print(result.code_map())
 
 
 # ----------------------------------------------------------------------
@@ -156,6 +153,12 @@ def sweep_points(scale: str) -> list[SweepPoint]:
     ]
 
 
+def assemble(points: list[SweepPoint], results: dict[str, Any]) -> Figure1Result:
+    """Figure 1 rebuilt at the point's seed: :func:`run` is the point's body."""
+    del results
+    return run(seed=points[0].params["seed"])
+
+
 def golden_quantities(
     points: list[SweepPoint], results: dict[str, Any]
 ) -> dict[str, float]:
@@ -174,6 +177,7 @@ SWEEP = SweepSpec(
     name="figure1",
     points=sweep_points,
     quantities=golden_quantities,
+    assemble=assemble,
     sources=(
         "repro.netbsd",
         "repro.trace",
@@ -190,7 +194,3 @@ SWEEP = SweepSpec(
         "repro.harness.points",
     ),
 )
-
-
-if __name__ == "__main__":
-    main()

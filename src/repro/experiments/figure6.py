@@ -12,11 +12,9 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..harness.points import SweepPoint, SweepSpec, Tolerance
-from ..sim.runner import SimulationConfig, run_averaged
 from ..sim.stats import RunResult
-from ..traffic.poisson import PoissonSource
 from ..units import format_duration
-from .figure5 import DEFAULT_DURATION, DEFAULT_SEEDS, PAPER_RATES, point_series
+from .figure5 import SWEEP_SCALES as FIGURE5_SCALES, point_series
 from .report import render_table
 
 
@@ -76,31 +74,6 @@ class Figure6Result:
         )
 
 
-def run(
-    rates: tuple[int, ...] = PAPER_RATES,
-    seeds: tuple[int, ...] = DEFAULT_SEEDS,
-    duration: float = DEFAULT_DURATION,
-    paper_scale: bool = False,
-) -> Figure6Result:
-    if paper_scale:
-        seeds = tuple(range(100))
-        duration = 1.0
-    conventional = []
-    ldlp = []
-    for rate in rates:
-        def source_factory(seed, rate=rate):
-            return PoissonSource(rate, rng=seed)
-
-        for name, bucket in (("conventional", conventional), ("ldlp", ldlp)):
-            config = SimulationConfig(scheduler=name, duration=duration)
-            bucket.append(run_averaged(source_factory, config, list(seeds)))
-    return Figure6Result(rates=tuple(rates), conventional=conventional, ldlp=ldlp)
-
-
-def main() -> None:
-    print(run().render())
-
-
 # ----------------------------------------------------------------------
 # Declarative sweep interface (repro.harness)
 
@@ -110,8 +83,8 @@ def main() -> None:
 #: experiments from one set of computed points.
 SWEEP_SCALES: dict[str, tuple[tuple[int, ...], tuple[int, ...], float]] = {
     "ci": ((1000, 4000, 7000, 9000, 10000), (0, 1), 0.1),
-    "default": (PAPER_RATES, DEFAULT_SEEDS, DEFAULT_DURATION),
-    "paper": (PAPER_RATES, tuple(range(100)), 1.0),
+    "default": FIGURE5_SCALES["default"],
+    "paper": FIGURE5_SCALES["paper"],
 }
 
 
@@ -181,7 +154,3 @@ SWEEP = SweepSpec(
         "ldlp_drops_total": Tolerance(rel=0.5, abs=100.0),
     },
 )
-
-
-if __name__ == "__main__":
-    main()

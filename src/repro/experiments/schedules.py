@@ -9,6 +9,7 @@ figures.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any
 
 from ..core.layer import CountingLayer, Message
@@ -71,44 +72,58 @@ def render_order(
     return "\n".join(lines)
 
 
+#: The schedules of Figures 2/3: scheduler name -> (title, class).
+SCHEDULES = {
+    "conventional": ("Conventional", ConventionalScheduler),
+    "ilp": ("ILP (same outer order)", ILPScheduler),
+    "ldlp": ("Blocked / LDLP", LDLPScheduler),
+}
+
+
+def schedule_lines(orders: dict[str, list]) -> str:
+    """One titled ``(Lx,Py)`` visit sequence per scheduler."""
+    return "\n".join(
+        f"{SCHEDULES[name][0]}: "
+        + " ".join(f"(L{layer},P{message})" for layer, message in order)
+        for name, order in orders.items()
+    )
+
+
 def figure23_text(num_layers: int = 4, num_messages: int = 2) -> str:
     """The three schedules of Figures 2/3, from the real schedulers."""
-    sections = []
-    for title, cls, batch in (
-        ("Conventional", ConventionalScheduler, None),
-        ("ILP (same outer order)", ILPScheduler, None),
-        ("Blocked / LDLP", LDLPScheduler, num_messages),
-    ):
-        order = observed_order(cls, num_layers, num_messages, batch)
-        sections.append(f"{title}: " + " ".join(
-            f"(L{layer},P{message})" for layer, message in order
-        ))
-    return "\n".join(sections)
+    return schedule_lines({
+        name: compute_point(name, num_layers, num_messages)["order"]
+        for name in SCHEDULES
+    })
 
 
-def main() -> None:
-    print("Figure 2/3: schedules produced by the implemented schedulers\n")
-    print(figure23_text())
-    print()
-    order = observed_order(LDLPScheduler, 4, 2, batch=2)
-    print(render_order(order, 4, 2))
+@dataclass(frozen=True)
+class SchedulesResult:
+    """The observed visit orders of every scheduler in :data:`SCHEDULES`."""
+
+    orders: dict[str, list]
+    num_layers: int
+    num_messages: int
+
+    def render(self) -> str:
+        """Figures 2/3 as visit sequences, then LDLP's step timeline."""
+        return (
+            "Figure 2/3: schedules produced by the implemented schedulers\n\n"
+            + schedule_lines(self.orders)
+            + "\n\n"
+            + render_order(self.orders["ldlp"], self.num_layers, self.num_messages)
+        )
 
 
 # ----------------------------------------------------------------------
 # Declarative sweep interface (repro.harness)
-
-_SCHEDULER_CLASSES = {
-    "conventional": ConventionalScheduler,
-    "ilp": ILPScheduler,
-    "ldlp": LDLPScheduler,
-}
 
 
 def compute_point(scheduler: str, num_layers: int, num_messages: int) -> dict:
     """The exact (layer, message) visit order one scheduler produces."""
     batch = num_messages if scheduler == "ldlp" else None
     order = observed_order(
-        _SCHEDULER_CLASSES[scheduler], num_layers, num_messages, batch
+        SCHEDULES[scheduler][1], num_layers, num_messages, batch
     )
     return {"order": [[layer, message] for layer, message in order]}
 
@@ -122,8 +137,18 @@ def sweep_points(scale: str) -> list[SweepPoint]:
             func="repro.experiments.schedules:compute_point",
             params={"scheduler": scheduler, "num_layers": 4, "num_messages": 2},
         )
-        for scheduler in _SCHEDULER_CLASSES
+        for scheduler in SCHEDULES
     ]
+
+
+def assemble(points: list[SweepPoint], results: dict[str, Any]) -> SchedulesResult:
+    """Collect every scheduler's visit order from its point."""
+    params = points[0].params
+    return SchedulesResult(
+        orders={point.key: results[point.key]["order"] for point in points},
+        num_layers=params["num_layers"],
+        num_messages=params["num_messages"],
+    )
 
 
 def golden_quantities(
@@ -146,6 +171,7 @@ SWEEP = SweepSpec(
     name="schedules",
     points=sweep_points,
     quantities=golden_quantities,
+    assemble=assemble,
     sources=(
         "repro.core",
         "repro.cache",
@@ -159,7 +185,3 @@ SWEEP = SweepSpec(
         "repro.harness.points",
     ),
 )
-
-
-if __name__ == "__main__":
-    main()

@@ -94,10 +94,6 @@ def run(seed: int = 0) -> Table1Result:
     return Table1Result(report=analyzer.report(32), seed=seed)
 
 
-def main() -> None:
-    print(run().render())
-
-
 # ----------------------------------------------------------------------
 # Declarative sweep interface (repro.harness)
 
@@ -141,6 +137,12 @@ def sweep_points(scale: str) -> list[SweepPoint]:
     ]
 
 
+def assemble(points: list[SweepPoint], results: dict[str, Any]) -> Table1Result:
+    """Table 1 rebuilt at the point's seed: :func:`run` is the point's body."""
+    del results
+    return run(seed=points[0].params["seed"])
+
+
 def golden_quantities(
     points: list[SweepPoint], results: dict[str, Any]
 ) -> dict[str, float]:
@@ -163,6 +165,7 @@ SWEEP = SweepSpec(
     name="table1",
     points=sweep_points,
     quantities=golden_quantities,
+    assemble=assemble,
     sources=(
         "repro.netbsd",
         "repro.trace",
@@ -179,7 +182,3 @@ SWEEP = SweepSpec(
         "repro.harness.points",
     ),
 )
-
-
-if __name__ == "__main__":
-    main()

@@ -98,18 +98,13 @@ class Table2Result:
             more = f" (+{len(functions) - 14} more)" if len(functions) > 14 else ""
             lines.append(f"  executes: {annotated}{more}")
             lines.append("")
+        lines.append(f"narrative orderings hold: {self.narrative_holds()}")
         return "\n".join(lines)
 
 
 def run(seed: int = 0) -> Table2Result:
     model = ReceivePathModel(seed=seed)
     return Table2Result(trace=model.build_trace(), seed=seed)
-
-
-def main() -> None:
-    result = run()
-    print(result.render())
-    print(f"narrative orderings hold: {result.narrative_holds()}")
 
 
 # ----------------------------------------------------------------------
@@ -140,6 +135,12 @@ def sweep_points(scale: str) -> list[SweepPoint]:
     ]
 
 
+def assemble(points: list[SweepPoint], results: dict[str, Any]) -> Table2Result:
+    """Table 2 rebuilt at the point's seed: :func:`run` is the point's body."""
+    del results
+    return run(seed=points[0].params["seed"])
+
+
 def golden_quantities(
     points: list[SweepPoint], results: dict[str, Any]
 ) -> dict[str, float]:
@@ -154,6 +155,7 @@ SWEEP = SweepSpec(
     name="table2",
     points=sweep_points,
     quantities=golden_quantities,
+    assemble=assemble,
     sources=(
         "repro.netbsd",
         "repro.trace",
@@ -169,7 +171,3 @@ SWEEP = SweepSpec(
         "repro.harness.points",
     ),
 )
-
-
-if __name__ == "__main__":
-    main()

@@ -101,10 +101,6 @@ def run(seed: int = 0) -> Table3Result:
     return Table3Result(table=analyzer.line_size_table(), seed=seed)
 
 
-def main() -> None:
-    print(run().render())
-
-
 # ----------------------------------------------------------------------
 # Declarative sweep interface (repro.harness)
 
@@ -133,6 +129,12 @@ def sweep_points(scale: str) -> list[SweepPoint]:
     ]
 
 
+def assemble(points: list[SweepPoint], results: dict[str, Any]) -> Table3Result:
+    """Table 3 rebuilt at the point's seed: :func:`run` is the point's body."""
+    del results
+    return run(seed=points[0].params["seed"])
+
+
 def golden_quantities(
     points: list[SweepPoint], results: dict[str, Any]
 ) -> dict[str, float]:
@@ -150,6 +152,7 @@ SWEEP = SweepSpec(
     name="table3",
     points=sweep_points,
     quantities=golden_quantities,
+    assemble=assemble,
     sources=(
         "repro.netbsd",
         "repro.trace",
@@ -169,7 +172,3 @@ SWEEP = SweepSpec(
     # noise across numpy builds.
     default_tolerance=Tolerance(abs=1e-6),
 )
-
-
-if __name__ == "__main__":
-    main()

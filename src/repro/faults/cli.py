@@ -3,17 +3,14 @@
 Usage::
 
     ldlp-experiment faults list                   # injectors + policies
-    ldlp-experiment faults degradation --jobs 4   # overload sweep table
-    ldlp-experiment faults degradation --scale default --out curves.txt
     ldlp-experiment faults injectors              # survival matrix
 
-``degradation`` runs the :mod:`repro.faults.campaigns` sweep through
-the parallel harness (cached, byte-identical at any ``--jobs``) and
-prints the degradation-curve table; ``--out`` also writes it to a file
-for CI artifacts.  ``injectors`` runs every injector against every
-scheduler at overload and fails (exit 1) unless each combination
-survives with conservation intact and both checksum routines agreeing
-on corrupted frames.
+``injectors`` runs every injector against every scheduler at overload
+and fails (exit 1) unless each combination survives with conservation
+intact and both checksum routines agreeing on corrupted frames.  The
+overload degradation curves are the :mod:`repro.faults.campaigns`
+sweep: ``ldlp-experiment run faults`` prints them and
+``ldlp-experiment regress faults`` pins them, conservation included.
 """
 
 from __future__ import annotations
@@ -25,9 +22,6 @@ import numpy as np
 
 from ..core.overload import DROP_POLICIES
 from ..errors import ReproError
-from ..harness.cache import ResultCache
-from ..harness.points import SCALES
-from ..harness.runner import run_experiment
 from ..protocols.checksum import internet_checksum, internet_checksum_unrolled
 from ..sim.runner import SCHEDULER_NAMES, SimulationConfig, run_simulation
 from ..traffic.poisson import PoissonSource
@@ -42,31 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fault-injection and overload-robustness campaigns.",
     )
     sub = parser.add_subparsers(dest="campaign", required=True)
-
-    degradation = sub.add_parser(
-        "degradation",
-        help="overload x policy x scheduler degradation sweep (harness)",
-    )
-    degradation.add_argument(
-        "--jobs", "-j", type=int, default=1,
-        help="worker processes for sweep points (default 1)",
-    )
-    degradation.add_argument(
-        "--scale", choices=SCALES, default="ci",
-        help="sweep scale: ci (fast), default, paper (default: ci)",
-    )
-    degradation.add_argument(
-        "--cache-dir", default=None,
-        help="result cache directory (default .ldlp-cache or $LDLP_CACHE_DIR)",
-    )
-    degradation.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute every point; do not read or write the cache",
-    )
-    degradation.add_argument(
-        "--out", default=None,
-        help="also write the degradation table to this file (CI artifact)",
-    )
 
     injectors = sub.add_parser(
         "injectors",
@@ -100,28 +69,6 @@ def cmd_list() -> int:
     print("drop policies:")
     for name in sorted(DROP_POLICIES):
         print(f"  {DROP_POLICIES[name]().describe()}")
-    return 0
-
-
-def cmd_degradation(args: argparse.Namespace) -> int:
-    """``degradation``: run the faults sweep and print/write the table."""
-    from .campaigns import SWEEP, assemble
-
-    cache = ResultCache(root=args.cache_dir, enabled=not args.no_cache)
-    run = run_experiment(SWEEP, scale=args.scale, jobs=args.jobs, cache=cache)
-    print(run.timing_summary())
-    campaign = assemble(run.points, run.results)
-    table = campaign.render()
-    print()
-    print(table)
-    violations = campaign.conservation_violations()
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as stream:
-            stream.write(table + "\n")
-        print(f"\nwrote {args.out}")
-    if violations:
-        print(f"\nFAIL: {violations} conservation violation(s)")
-        return 1
     return 0
 
 
@@ -216,8 +163,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.campaign == "list":
         return cmd_list()
-    if args.campaign == "degradation":
-        return cmd_degradation(args)
     return cmd_injectors(args)
 
 

@@ -3,8 +3,9 @@
 Every figure/table module in :mod:`repro.experiments` declares a
 :class:`~repro.harness.points.SweepSpec` named ``SWEEP``: the list of
 pure, picklable sweep points that make up the experiment, how to
-extract its paper-expected scalar quantities, and which source modules
-its results depend on.  On top of that declaration this package
+extract its paper-expected scalar quantities, how to assemble its
+rendered table from the point results, and which source modules its
+results depend on.  On top of that declaration this package
 provides:
 
 * :mod:`repro.harness.runner` — fan the points out over a
@@ -15,12 +16,9 @@ provides:
   source files) so unchanged points are never recomputed;
 * :mod:`repro.harness.golden` — a golden-figure regression gate:
   checked-in expected quantities with tolerances under ``goldens/``,
-  compared by ``ldlp-experiment regress``;
-* :mod:`repro.harness.bench` — the ``BENCH_experiments.json`` writer
-  recording per-experiment timings, speedups, and cache hit rates.
+  compared by ``ldlp-experiment regress``.
 """
 
-from .bench import write_bench
 from .cache import ResultCache, content_key, source_digest
 from .golden import GoldenBreach, bless, check_quantities, load_golden
 from .points import SweepPoint, SweepSpec, Tolerance
@@ -29,7 +27,6 @@ from .runner import ExperimentRun, run_experiment
 
 __all__ = [
     "ExperimentRun",
-    "write_bench",
     "GoldenBreach",
     "ResultCache",
     "SweepPoint",

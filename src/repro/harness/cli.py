@@ -8,10 +8,10 @@ Usage::
     ldlp-experiment regress figure8 --bless      # re-bless after a change
 
 ``run`` executes each experiment's declared sweep points over a worker
-pool, reusing the content-hashed cache, prints the reproduced tables,
-and writes ``BENCH_experiments.json``.  ``regress`` additionally
-extracts each experiment's golden quantities and fails (exit 1) when
-any drifts outside its checked-in tolerance.
+pool, reusing the content-hashed cache, and prints each reproduced
+table, assembled from the point results.  ``regress`` instead extracts
+each experiment's golden quantities and fails (exit 1) when any drifts
+outside its checked-in tolerance.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import argparse
 import sys
 
 from ..errors import ConfigurationError
-from .bench import DEFAULT_BENCH_PATH, write_bench
 from .cache import ResultCache
 from ..sim.runner import ENGINE_NAMES
 from .golden import DEFAULT_GOLDENS_DIR, bless, check_quantities, load_golden
@@ -37,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, help_text in (
-        ("run", "run experiment sweeps in parallel, write BENCH timings"),
+        ("run", "run experiment sweeps in parallel, print their tables"),
         ("regress", "run (cached) and gate against checked-in goldens"),
     ):
         cmd = sub.add_parser(command, help=help_text)
@@ -65,13 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--no-cache", action="store_true",
             help="recompute every point; do not read or write the cache",
-        )
-        cmd.add_argument(
-            "--bench-out", default=DEFAULT_BENCH_PATH,
-            help=f"BENCH output path (default {DEFAULT_BENCH_PATH})",
-        )
-        cmd.add_argument(
-            "--no-bench", action="store_true", help="skip writing the BENCH file"
         )
         cmd.add_argument(
             "--engine", choices=ENGINE_NAMES, default=None,
@@ -119,25 +111,18 @@ def _run_all(args: argparse.Namespace) -> list[ExperimentRun]:
     return runs
 
 
-def _finish(args: argparse.Namespace, runs: list[ExperimentRun]) -> None:
-    if not args.no_bench:
-        path = write_bench(runs, args.bench_out)
-        print(f"\nwrote {path}")
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    """``run``: execute sweeps, render tables, write BENCH."""
+    """``run``: execute sweeps and print each assembled table."""
     runs = _run_all(args)
     for run in runs:
         spec = get_spec(run.name)
-        if not args.no_render and spec.assemble is not None:
+        if not args.no_render:
             print()
             print(spec.assemble(run.points, run.results).render())
         if args.quantities:
             print(f"\n{run.name} quantities:")
             for key, value in sorted(run.quantities(spec).items()):
                 print(f"  {key} = {value:g}")
-    _finish(args, runs)
     return 0
 
 
@@ -174,7 +159,6 @@ def cmd_regress(args: argparse.Namespace) -> int:
             failures += 1
         else:
             print(f"PASS    {run.name}: {len(golden)} quantities within tolerance")
-    _finish(args, runs)
     if failures:
         print(f"\nregression gate FAILED for {failures} experiment(s)")
         return 1

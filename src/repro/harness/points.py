@@ -101,17 +101,18 @@ class SweepSpec:
         file contents are hashed into every cache key, so editing any
         model the experiment depends on invalidates its cached points.
     assemble:
-        Optional ``assemble(points, results) -> object`` rebuilding the
-        experiment's rich result (with ``render()``) from point results.
+        ``assemble(points, results) -> object`` rebuilding the
+        experiment's rich result from point results; its ``render()``
+        is the table ``ldlp-experiment run`` prints.
     """
 
     name: str
     points: Callable[[str], list[SweepPoint]]
     quantities: Callable[[list[SweepPoint], dict[str, Any]], dict[str, float]]
     sources: tuple[str, ...]
+    assemble: Callable[[list[SweepPoint], dict[str, Any]], Any]
     tolerances: dict[str, Tolerance] = field(default_factory=dict)
     default_tolerance: Tolerance = field(default_factory=Tolerance)
-    assemble: Callable[[list[SweepPoint], dict[str, Any]], Any] | None = None
 
     def points_for(self, scale: str) -> list[SweepPoint]:
         """Build the sweep points for one scale, checking key uniqueness."""

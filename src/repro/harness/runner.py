@@ -6,8 +6,8 @@ parallelize trivially: uncached points are mapped over a
 (``jobs == 1``), and results are keyed by point key *in declared
 order*, so the serialized results of a run are byte-identical at any
 worker count.  Every point is timed; the per-experiment timing summary
-(wall clock, estimated serial time, speedup, cache hit rate) feeds
-``BENCH_experiments.json``.
+(wall clock, estimated serial time, speedup, cache hit rate) is the
+line ``ldlp-experiment run`` and ``regress`` print per experiment.
 
 Every point additionally executes under a metrics-only
 :class:`repro.obs.runtime.Recorder` (``keep_spans=False``), so the
@@ -15,7 +15,7 @@ instrumented hot paths contribute counter totals — cache misses, mbuf
 traffic, scheduler batching — without retaining per-span memory.  The
 counters are plain ``dict[str, float]`` so they pickle through the
 worker pool, are cached alongside each point result, and aggregate
-into :attr:`ExperimentRun.counters` for ``BENCH_experiments.json``.
+into :attr:`ExperimentRun.counters`.
 """
 
 from __future__ import annotations
@@ -37,12 +37,12 @@ def _execute_point(point: SweepPoint) -> tuple[str, Any, float, dict[str, float]
     Runs the point under a metrics-only recorder; the obs layer never
     perturbs model state, so results are identical with or without it.
     """
-    start = time.perf_counter()  # det: allow[DET003] times the point for BENCH; never part of the result
+    start = time.perf_counter()  # det: allow[DET003] times the point for the timing summary; never part of the result
     recorder = Recorder(keep_spans=False)
     with recording(recorder):
         result = point.execute()
     counters = recorder.counters.as_dict()
-    return point.key, result, time.perf_counter() - start, counters  # det: allow[DET003] elapsed feeds BENCH timing only
+    return point.key, result, time.perf_counter() - start, counters  # det: allow[DET003] elapsed feeds the timing summary only
 
 
 def merge_counters(totals: dict[str, float], extra: dict[str, float]) -> None:
@@ -123,7 +123,7 @@ def run_experiment(
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     cache = cache if cache is not None else ResultCache()
     points = spec.points_for(scale)
-    start = time.perf_counter()  # det: allow[DET003] wall_s is BENCH timing metadata, not a result
+    start = time.perf_counter()  # det: allow[DET003] wall_s is timing metadata, not a result
 
     keys = {point.key: content_key(point, spec.sources) for point in points}
     results: dict[str, Any] = {}
@@ -164,7 +164,7 @@ def run_experiment(
         results=ordered,
         cache_hits=cache_hits,
         computed=len(pending),
-        wall_s=time.perf_counter() - start,  # det: allow[DET003] BENCH timing metadata
+        wall_s=time.perf_counter() - start,  # det: allow[DET003] timing metadata, not a result
         point_elapsed={point.key: elapsed[point.key] for point in points},
         counters={name: counters[name] for name in sorted(counters)},
     )

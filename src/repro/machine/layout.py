@@ -87,10 +87,6 @@ class MemoryLayout:
         """Bytes of the window not yet reserved (ignores fragmentation)."""
         return self.span - self.reserved_bytes
 
-    def placed_intervals(self) -> list[tuple[int, int]]:
-        """Sorted (start, end) spans of every placed region (read-only)."""
-        return list(self._intervals)
-
     def _overlaps(self, start: int, end: int) -> bool:
         for existing_start, existing_end in self._intervals:
             if start < existing_end and existing_start < end:

@@ -95,13 +95,6 @@ class MissAttribution:
             key=lambda row: (row.layer, -row.misses, row.fn),
         )
 
-    def layer_misses(self) -> dict[str, int]:
-        """Total primary-cache misses per layer."""
-        totals: dict[str, int] = {}
-        for row in self.functions.values():
-            totals[row.layer] = totals.get(row.layer, 0) + row.misses
-        return totals
-
     def live_working_set(self, line_size: int = 32) -> dict[str, dict[str, int]]:
         """Per-layer working set in bytes: Table 1's layer×category shape.
 

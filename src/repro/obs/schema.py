@@ -26,7 +26,7 @@ Event Format that ``chrome://tracing`` and Perfetto load:
 
 **Metrics JSON** (``MetricsSink``) — an object with ``counters`` (flat
 name → number) and ``tracks`` (track name → counter totals), the shape
-folded into ``BENCH_experiments.json`` entries by the harness.
+of the per-point counters the harness keeps in its result cache.
 """
 
 from __future__ import annotations

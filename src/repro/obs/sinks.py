@@ -9,7 +9,7 @@ Three sinks ship with the subsystem (ISSUE 3's contract):
   the receive path) the live per-function miss-attribution table from
   :mod:`repro.obs.attribution`;
 * :class:`MetricsSink` — flat counter totals, the shape the harness
-  folds into ``BENCH_experiments.json``.
+  keeps per sweep point in its result cache.
 
 All payload shapes are documented and validated in
 :mod:`repro.obs.schema`.
@@ -122,7 +122,7 @@ class ChromeTraceSink:
 
 
 class MetricsSink:
-    """Flattens a recorder into counter totals (the BENCH shape)."""
+    """Flattens a recorder into counter totals (the harness's counter shape)."""
 
     def __init__(self, recorder: Recorder) -> None:
         self.recorder = recorder

@@ -27,7 +27,7 @@ bit-identical results either way.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from ..cache.hierarchy import CacheGeometry, MachineSpec
@@ -159,10 +159,6 @@ class MultiCoreConfig:
             flush_period_cycles=self.flush_period_cycles,
             engine=self.engine,
         )
-
-    def with_dispatch(self, dispatch: str) -> "MultiCoreConfig":
-        """This config with only the dispatch policy swapped."""
-        return replace(self, dispatch=dispatch)
 
 
 def core_seed(seed: int, core: int) -> int:
@@ -347,8 +343,8 @@ def run_multicore(
     )
     recorder = active_recorder()
     if recorder is not None:
-        # Per-(policy, core count) miss totals: the BENCH record the
-        # dispatch-locality claim is read from (ldlp vs rss at >= 4
+        # Per-(policy, core count) miss totals, the counters the
+        # dispatch-locality claim can be read from (ldlp vs rss at >= 4
         # cores), plus per-core attribution totals.
         prefix = f"multicore.{config.dispatch}.cores{config.num_cores}"
         imisses = sum(stats.icache_misses for stats in core_stats)

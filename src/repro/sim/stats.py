@@ -26,7 +26,7 @@ class ResultRecord:
     """
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable form (harness result cache, BENCH files)."""
+        """JSON-serializable form (the harness result cache)."""
         return {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod

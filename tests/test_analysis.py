@@ -70,7 +70,7 @@ class TestFindings:
             "LDLP001", "LDLP002", "LDLP003", "LDLP004",
             "SCHED001", "SCHED002", "SCHED003", "SCHED004",
             "MBUF001", "MBUF002", "MBUF003",
-            "HARN001", "HARN002", "HARN003", "HARN004",
+            "HARN001", "HARN002", "HARN003", "HARN004", "HARN005", "HARN006",
             "DET001", "DET002", "DET003", "DET004", "DET005",
         }
         assert expected == set(RULES)

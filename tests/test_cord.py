@@ -4,7 +4,6 @@
 import pytest
 
 from repro.cache.workingset import Category, WorkingSetAnalyzer
-from repro.experiments import ablations
 from repro.netbsd import (
     ReceivePathModel,
     compact_trace,
@@ -12,6 +11,8 @@ from repro.netbsd import (
     run_cord_experiment,
 )
 from repro.trace import LayerClassifier, MemRef, RefKind
+
+from .sweeps import ablation
 
 CODE = RefKind.CODE
 
@@ -109,9 +110,7 @@ class TestCompactTrace:
 
 class TestCiscDensity:
     def test_i386_shrinks_the_gap(self):
-        sweep = ablations.cisc_density_sweep(
-            densities=(1.0, 0.45), rate=5000, duration=0.08
-        )
+        sweep = ablation("cisc_density", (1.0, 0.45), 5000, 0.08)
         alpha_adv = (
             sweep.conventional[0].cycles_per_message
             / sweep.ldlp[0].cycles_per_message
@@ -124,11 +123,15 @@ class TestCiscDensity:
         # i386: the 5-layer stack is ~13.8 KB, still above 8 KB, so some
         # advantage remains — but far less.
         assert i386_adv > 0.95
+        sweep = ablation("cisc_density", (1.0, 0.45), 5000, 0.1)
+        advantages = [
+            conv.cycles_per_message / ldlp.cycles_per_message
+            for conv, ldlp in zip(sweep.conventional, sweep.ldlp)
+        ]
+        assert advantages[0] > advantages[1]
 
     def test_i386_conventional_misses_lower(self):
-        sweep = ablations.cisc_density_sweep(
-            densities=(1.0, 0.45), rate=3000, duration=0.08
-        )
+        sweep = ablation("cisc_density", (1.0, 0.45), 3000, 0.08)
         assert (
             sweep.conventional[1].misses.total
             < 0.6 * sweep.conventional[0].misses.total

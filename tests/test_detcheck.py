@@ -496,7 +496,7 @@ class TestCanonicalSuppressions:
     @pytest.mark.parametrize(
         "relpath, rule_id",
         [
-            ("src/repro/harness/bench.py", "DET003"),
+            ("src/repro/harness/runner.py", "DET003"),
             ("src/repro/obs/runtime.py", "DET005"),
         ],
     )

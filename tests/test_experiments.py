@@ -2,23 +2,27 @@
 and figures reproduce with the shapes the paper reports?
 
 These run at reduced scale (few seeds, short simulated time) but assert
-the same qualitative claims; the benchmarks record the full numbers.
+the same qualitative claims; the goldens pin the full numbers.  Swept
+experiments are read from their sweep points' results, assembled as
+``ldlp-experiment run`` assembles them.
 """
 
 import pytest
 
 from repro.experiments import (
-    ablations,
     figure1,
     figure5,
     figure6,
     figure7,
     figure8,
+    motivation,
     table1,
     table3,
 )
 from repro.experiments.cli import build_parser, main as cli_main
 from repro.experiments.report import pct, render_table
+
+from .sweeps import ablation, assembled, ci_points
 
 
 class TestReport:
@@ -83,18 +87,24 @@ SMALL_RATES = (1000, 4000, 7000, 9500)
 
 @pytest.fixture(scope="module")
 def figure5_result():
-    return figure5.run(rates=SMALL_RATES, seeds=(0, 1), duration=0.12)
+    return assembled(
+        figure5.SWEEP, ci_points(figure5, (SMALL_RATES, (0, 1), 0.12))
+    )
 
 
 @pytest.fixture(scope="module")
 def figure6_result():
-    return figure6.run(rates=(1000, 4000, 7000, 9000, 10000), seeds=(0, 1),
-                       duration=0.12)
+    return assembled(
+        figure6.SWEEP,
+        ci_points(figure6, ((1000, 4000, 7000, 9000, 10000), (0, 1), 0.12)),
+    )
 
 
 class TestFigure5:
     def test_shape(self, figure5_result):
         assert figure5_result.shape_holds()
+        # The same claims at the ci scale's shorter runs.
+        assert assembled(figure5.SWEEP, figure5.SWEEP.points_for("ci")).shape_holds()
 
     def test_conventional_near_thousand(self, figure5_result):
         # Paper: ~1000 misses/message for the conventional stack.
@@ -112,6 +122,8 @@ class TestFigure5:
 class TestFigure6:
     def test_shape(self, figure6_result):
         assert figure6_result.shape_holds()
+        # The same claims at the ci scale's shorter runs.
+        assert assembled(figure6.SWEEP, figure6.SWEEP.points_for("ci")).shape_holds()
 
     def test_conventional_saturates_before_ldlp(self, figure6_result):
         conv = figure6_result.conventional
@@ -131,10 +143,7 @@ class TestFigure6:
 class TestFigure7:
     @pytest.fixture(scope="class")
     def result(self):
-        return figure7.run(
-            clocks_mhz=(10, 20, 40, 80), duration=0.4, mean_rate=1000,
-            seeds=(0,),
-        )
+        return assembled(figure7.SWEEP, figure7.SWEEP.points_for("ci"))
 
     def test_shape(self, result):
         assert result.shape_holds()
@@ -150,7 +159,7 @@ class TestFigure7:
 class TestFigure8:
     @pytest.fixture(scope="class")
     def result(self):
-        return figure8.run()
+        return assembled(figure8.SWEEP, figure8.SWEEP.points_for("ci"))
 
     def test_shape(self, result):
         assert result.shape_holds()
@@ -173,7 +182,7 @@ class TestFigure8:
 
 class TestAblations:
     def test_batch_cap_one_equals_conventional(self):
-        sweep = ablations.batch_cap_sweep(caps=(1, 8), duration=0.08)
+        sweep = ablation("batch_cap", (1, 8), 9000.0, 0.08)
         conv = sweep.conventional[0]
         capped = sweep.ldlp[0]
         # cap=1 LDLP degenerates to per-message processing: same misses
@@ -181,20 +190,32 @@ class TestAblations:
         assert capped.misses.total == pytest.approx(conv.misses.total, rel=0.05)
         # cap=8 is far better.
         assert sweep.ldlp[1].misses.total < 0.5 * conv.misses.total
+        # Why Figure 5 flattens: misses fall with the cap and saturate at
+        # the 14-message cap derived from the 8 KB data cache.
+        sweep = ablation("batch_cap", (1, 4, 14, 32), 9000.0, 0.1)
+        misses = [round(r.misses.total) for r in sweep.ldlp]
+        assert misses[0] > misses[1] > misses[2]
+        assert misses[3] > misses[2] * 0.8
 
     def test_penalty_zero_removes_advantage(self):
-        sweep = ablations.miss_penalty_sweep(penalties=(0, 30), rate=5000,
-                                             duration=0.08)
+        sweep = ablation("miss_penalty", (0, 30), 5000, 0.08)
         zero_conv, zero_ldlp = sweep.conventional[0], sweep.ldlp[0]
         assert zero_ldlp.cycles_per_message == pytest.approx(
             zero_conv.cycles_per_message, rel=0.05
         )
         high_conv, high_ldlp = sweep.conventional[1], sweep.ldlp[1]
         assert high_ldlp.cycles_per_message < 0.75 * high_conv.cycles_per_message
+        # The advantage scales with the memory/CPU speed gap.
+        sweep = ablation("miss_penalty", (0, 10, 20, 60), 5000, 0.1)
+        advantages = [
+            conv.cycles_per_message / ldlp.cycles_per_message
+            for conv, ldlp in zip(sweep.conventional, sweep.ldlp)
+        ]
+        assert advantages[0] < 1.05  # no memory gap, no benefit
+        assert advantages[-1] > advantages[1]  # grows with the gap
 
     def test_small_code_removes_advantage(self):
-        sweep = ablations.code_size_sweep(code_sizes=(1024, 12288), rate=3500,
-                                          duration=0.08)
+        sweep = ablation("code_size", (1024, 12288), 3500, 0.08)
         small_conv, small_ldlp = sweep.conventional[0], sweep.ldlp[0]
         # Whole stack fits the cache: LDLP buys nothing (Figure 4).
         assert small_ldlp.cycles_per_message == pytest.approx(
@@ -202,29 +223,40 @@ class TestAblations:
         )
         big_conv, big_ldlp = sweep.conventional[1], sweep.ldlp[1]
         assert big_ldlp.cycles_per_message < 0.8 * big_conv.cycles_per_message
+        # The Figure-4 boundary: LDLP helps only once the stack exceeds
+        # the instruction cache, and more as the code grows.
+        sweep = ablation("code_size", (1024, 6144, 12288), 3500, 0.1)
+        advantages = [
+            conv.cycles_per_message / ldlp.cycles_per_message
+            for conv, ldlp in zip(sweep.conventional, sweep.ldlp)
+        ]
+        assert advantages[0] < 1.1  # cache-resident stack: no benefit
+        assert advantages[-1] > 1.3
 
 
 class TestCli:
     def test_parser_choices(self):
         parser = build_parser()
-        args = parser.parse_args(["table1"])
-        assert args.experiment == "table1"
+        assert parser.parse_args(["run"]).command == "run"
+        # Experiments are named after ``run``; a bare name is a usage error.
+        with pytest.raises(SystemExit):
+            parser.parse_args(["table1"])
+        with pytest.raises(SystemExit):
+            cli_main(["table1"])
 
     def test_cli_table1(self, capsys):
-        assert cli_main(["table1"]) == 0
+        assert cli_main(["run", "table1", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "Table 1" in out
 
     def test_cli_figure8(self, capsys):
-        assert cli_main(["figure8"]) == 0
+        assert cli_main(["run", "figure8", "--no-cache"]) == 0
         assert "crossover" in capsys.readouterr().out
 
 
 class TestMotivation:
     def test_intro_arithmetic(self):
-        from repro.experiments import motivation
-
-        result = motivation.run(duration=0.15)
+        result = assembled(motivation.SWEEP, motivation.SWEEP.points_for("ci"))
         # Conventional at 10k pairs/s across 20 hops: "a large fraction
         # of a second" (or more); LDLP keeps the whole path fast.
         conv_20 = result.end_to_end(result.conventional_per_hop, 20)
@@ -234,7 +266,6 @@ class TestMotivation:
         assert result.goal_met()
 
     def test_render(self):
-        from repro.experiments import motivation
-
-        text = motivation.run(duration=0.1).render()
+        points = ci_points(motivation, (10_000.0, 0.1, 5))
+        text = assembled(motivation.SWEEP, points).render()
         assert "per-hop processing" in text

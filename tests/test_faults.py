@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.harnesscheck import (
     check_all_specs,
+    check_registry_coverage,
     check_spec,
     import_closure,
     module_path,
@@ -565,6 +566,7 @@ class TestHarnessCheck:
             ],
             quantities=lambda points, results: {},
             sources=sources,
+            assemble=lambda points, results: results,
         )
 
     def test_undeclared_source_flagged(self):
@@ -593,3 +595,14 @@ class TestHarnessCheck:
 
     def test_repo_specs_all_clean(self):
         assert check_all_specs() == []
+
+    def test_harn006_flags_unexercised_drop_policy(self, monkeypatch):
+        import repro.core.overload as overload_module
+
+        monkeypatch.setitem(overload_module.DROP_POLICIES, "phantom", TailDrop)
+        findings = [
+            f for f in check_registry_coverage() if f.rule_id == "HARN006"
+        ]
+        assert len(findings) == 1
+        assert findings[0].target == "experiment:faults"
+        assert findings[0].details["policy"] == "phantom"

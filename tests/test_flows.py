@@ -541,6 +541,7 @@ class TestSweepDeterminism:
             points=points,
             quantities=lambda points, results: {},
             sources=("repro.sim", "repro.core", "repro.flows"),
+            assemble=lambda points, results: results,
         )
 
     def test_identical_across_jobs(self, tmp_path):

@@ -14,6 +14,8 @@ from repro.core import (
     PassthroughLayer,
 )
 from repro.errors import SchedulerError
+from repro.sim import SimulationConfig, run_simulation
+from repro.traffic import PoissonSource
 
 
 def small_layers(n=5, code=2048):
@@ -148,6 +150,21 @@ class TestLocality:
         ldlp = run(LDLPScheduler)
         assert grouped < conventional
         assert ldlp < grouped
+        # The same ranking in cycles per message on the Section-4
+        # simulator with 2 KB layers, all three on one arrival stream.
+        source = PoissonSource(6000, rng=6)
+        arrivals = source.arrival_list(0.1)
+        costs = {
+            name: run_simulation(
+                source,
+                SimulationConfig(scheduler=name, duration=0.1, layer_code_bytes=2048),
+                seed=6,
+                arrivals=arrivals,
+            ).cycles_per_message
+            for name in ("conventional", "grouped", "ldlp")
+        }
+        assert costs["ldlp"] <= costs["grouped"] * 1.05
+        assert costs["grouped"] < costs["conventional"]
 
     def test_grouping_reduces_queue_hops(self):
         """Groups pay one queue hop per group, not per layer: with zero

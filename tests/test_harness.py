@@ -1,6 +1,6 @@
 """Tests of the parallel experiment harness: worker-count determinism,
 the content-hashed result cache, the golden regression gate, and the
-BENCH writer.
+``run``/``regress`` CLI.
 
 The determinism tests are the satellite regression required by the
 harness design: the same sweep run at ``--jobs 1`` and ``--jobs 4``
@@ -28,7 +28,6 @@ from repro.harness import (
     load_golden,
     run_experiment,
     source_digest,
-    write_bench,
 )
 from repro.harness.cli import main as harness_cli
 from repro.harness.registry import EXPERIMENT_MODULES
@@ -69,6 +68,7 @@ def tiny_sim_spec() -> SweepSpec:
         points=points,
         quantities=quantities,
         sources=("repro.sim", "repro.core"),
+        assemble=lambda points, results: results,
         default_tolerance=Tolerance(rel=0.1),
     )
 
@@ -218,6 +218,7 @@ class TestSpecs:
             ],
             quantities=lambda points, results: {},
             sources=("repro.sim",),
+            assemble=lambda points, results: results,
         )
         with pytest.raises(ConfigurationError):
             spec.points_for("ci")
@@ -238,33 +239,7 @@ class TestSpecs:
         )
 
 
-class TestBench:
-    def test_write_bench(self, tmp_path):
-        spec = tiny_sim_spec()
-        run = run_experiment(spec, jobs=2, cache=ResultCache(tmp_path / "c"))
-        out = write_bench([run], tmp_path / "BENCH_experiments.json")
-        data = json.loads(out.read_text())
-        assert data["bench"] == "experiments"
-        record = data["experiments"]["tinysim"]
-        assert record["points"] == 4
-        assert record["computed"] == 4
-        assert record["hit_rate"] == 0.0
-        assert record["wall_s"] > 0
-        assert record["slowest_point"]["key"] in run.point_elapsed
-        assert data["totals"]["points"] == 4
-
-    def test_write_bench_clock_is_injectable(self, tmp_path):
-        """The generated_unix stamp comes from the clock parameter, so a
-        fixed clock makes the BENCH file fully deterministic (the real
-        time.time default carries the canonical DET003 suppression)."""
-        spec = tiny_sim_spec()
-        run = run_experiment(spec, jobs=1, cache=ResultCache(tmp_path / "c"))
-        out = write_bench(
-            [run], tmp_path / "BENCH.json", clock=lambda: 1234567890.9
-        )
-        data = json.loads(out.read_text())
-        assert data["generated_unix"] == 1234567890
-
+class TestHashpoint:
     def test_hashpoint_digest_is_stable(self, capsys):
         """python -m repro.harness.hashpoint prints the same digest for
         the same point in-process (the CI seed-matrix smoke compares it
@@ -288,10 +263,8 @@ class TestHarnessCli:
             "schedules",
             "--cache-dir", str(tmp_path / "cache"),
             "--scale", "ci",
-            "--bench-out", str(tmp_path / "BENCH.json"),
         ]
         assert harness_cli(["run", *args, "--no-render"]) == 0
-        assert (tmp_path / "BENCH.json").exists()
         goldens = ["--goldens-dir", str(tmp_path / "goldens")]
         assert harness_cli(["regress", *args, *goldens, "--bless"]) == 0
         assert harness_cli(
@@ -305,7 +278,6 @@ class TestHarnessCli:
             "regress", "schedules",
             "--cache-dir", str(tmp_path / "cache"),
             "--goldens-dir", str(tmp_path / "empty"),
-            "--no-bench",
         ]) == 1
         assert "FAIL" in capsys.readouterr().out
 
@@ -313,7 +285,7 @@ class TestHarnessCli:
         cache = ["--cache-dir", str(tmp_path / "cache")]
         goldens = ["--goldens-dir", str(tmp_path / "goldens")]
         assert harness_cli(
-            ["regress", "schedules", *cache, *goldens, "--bless", "--no-bench"]
+            ["regress", "schedules", *cache, *goldens, "--bless"]
         ) == 0
         # Corrupt one golden value: the gate must fail on exactly it.
         path = tmp_path / "goldens" / "schedules.ci.json"
@@ -322,7 +294,7 @@ class TestHarnessCli:
         data["quantities"][key]["value"] += 1
         path.write_text(json.dumps(data))
         assert harness_cli(
-            ["regress", "schedules", *cache, *goldens, "--no-bench"]
+            ["regress", "schedules", *cache, *goldens]
         ) == 1
         assert key in capsys.readouterr().out
 
@@ -332,6 +304,6 @@ class TestHarnessCli:
         assert top_main([
             "run", "schedules",
             "--cache-dir", str(tmp_path / "cache"),
-            "--no-bench", "--no-render",
+            "--no-render",
         ]) == 0
         assert "schedules" in capsys.readouterr().out

@@ -428,6 +428,7 @@ class TestSweepDeterminism:
             points=points,
             quantities=lambda points, results: {},
             sources=("repro.sim", "repro.core", "repro.machine"),
+            assemble=lambda points, results: results,
         )
 
     def test_every_policy_identical_across_jobs(self, tmp_path):
@@ -512,3 +513,20 @@ class TestExperimentSweep:
         assert len(findings) == 1
         assert findings[0].rule_id == "HARN002"
         assert findings[0].details["policy"] == "phantom"
+
+    def test_harn005_flags_unexercised_scheduler(self, monkeypatch):
+        import repro.sim.runner as runner_module
+
+        assert [
+            f for f in check_registry_coverage() if f.rule_id == "HARN005"
+        ] == []
+        monkeypatch.setattr(
+            runner_module, "SCHEDULER_NAMES",
+            (*runner_module.SCHEDULER_NAMES, "phantom"),
+        )
+        findings = [
+            f for f in check_registry_coverage() if f.rule_id == "HARN005"
+        ]
+        assert len(findings) == 1
+        assert findings[0].target == "experiment:multicore"
+        assert findings[0].details["scheduler"] == "phantom"

@@ -161,6 +161,8 @@ class TestReceivePathModel:
     def test_three_phases(self, trace):
         labels = [label for label, _ in trace.phase_slices()]
         assert labels == list(PHASES)
+        # One full receive-and-acknowledge trace: ~65k references.
+        assert len(trace) > 50_000
 
     def test_phase_code_totals_close(self, trace):
         stats = {s.label: s for s in phase_stats(trace)}

@@ -296,19 +296,6 @@ class TestHarnessCounters:
         assert warm.cache_hits == len(warm.points)
         assert warm.counters == cold.counters
 
-    def test_bench_record_includes_counters(self, tmp_path):
-        from repro.harness.bench import bench_record
-        from repro.harness.cache import ResultCache
-        from repro.harness.registry import get_spec
-        from repro.harness.runner import run_experiment
-
-        run = run_experiment(
-            get_spec("table1"), scale="ci", jobs=1,
-            cache=ResultCache(root=tmp_path),
-        )
-        record = bench_record(run)
-        assert record["counters"]["trace.refs"] > 0
-
     def test_old_cache_entries_tolerated(self, tmp_path):
         from repro.harness.cache import ResultCache
 
