@@ -3,8 +3,8 @@
 Public surface:
 
 * :class:`DirectMappedCache`, :class:`SetAssociativeCache` — cache models;
-* :class:`SplitCacheHierarchy`, :class:`MachineSpec`, :class:`CacheGeometry`
-  — the paper's machine model (8 KB split I/D, 20-cycle miss penalty);
+* :class:`MachineSpec`, :class:`CacheGeometry` — the paper's flat
+  machine model (8 KB split I/D, 20-cycle miss penalty);
 * :class:`WorkingSetAnalyzer` and report types — Table 1 / Table 3 analysis;
 * :mod:`repro.cache.line` helpers for address/line arithmetic.
 """
@@ -21,7 +21,6 @@ from .hierarchy import (
     ROSENBLUM_1998,
     CacheGeometry,
     MachineSpec,
-    SplitCacheHierarchy,
 )
 from .line import line_base, line_count, line_of, lines_touched
 from .stats import CacheStats
@@ -51,7 +50,6 @@ __all__ = [
     "ROSENBLUM_1998",
     "SegmentedAccessPlan",
     "SetAssociativeCache",
-    "SplitCacheHierarchy",
     "UnsupportedPlanError",
     "unit_plan",
     "WorkingSetAnalyzer",

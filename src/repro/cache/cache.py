@@ -160,8 +160,7 @@ class DirectMappedCache(Cache):
     def access_line_array_report(self, lines: np.ndarray) -> np.ndarray:
         """Like :meth:`access_line_array` but returns the *missed* lines.
 
-        Multi-level hierarchies use the returned array to probe the
-        next cache level.
+        The CPU charges one miss penalty per returned line.
         """
         if lines.size == 0:
             return lines

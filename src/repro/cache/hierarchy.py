@@ -1,10 +1,11 @@
-"""Cache hierarchies: split instruction/data primaries, miss penalties.
+"""The flat machine: split instruction/data primaries, one miss penalty.
 
 The paper's machine model charges a fixed stall per primary-cache read
 miss (20 cycles in Section 4; 10 cycles on the DEC 3000/400 of Section 2)
-and treats the secondary cache / memory as flat beyond that.  The
-hierarchy object pairs the I and D caches with those penalties and
-converts miss counts into stall cycles.
+and treats the secondary cache / memory as flat beyond that: every
+primary miss is assumed to hit the secondary cache.  :class:`MachineSpec`
+describes that machine; :class:`repro.machine.cpu.CPU` builds its two
+caches and converts miss counts into stall cycles.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from ..errors import ConfigurationError
 from ..units import kb
-from .cache import Cache, DirectMappedCache
+from .cache import DirectMappedCache
 
 
 @dataclass(frozen=True)
@@ -52,21 +53,14 @@ class MachineSpec:
     100 MHz clock, 8 KB direct-mapped split I/D caches with 32-byte
     lines, and a 20-cycle stall per read miss.
 
-    The flat ``miss_penalty`` matches the paper's model, where every
-    primary miss hits in the secondary cache.  Setting ``l2`` adds an
-    explicit unified second-level cache: a primary miss that hits L2
-    stalls ``miss_penalty`` cycles, a miss in both levels stalls
-    ``memory_penalty`` cycles ("ultimately the execution rate is
-    bounded by the second level cache bandwidth, and possibly by the
-    main memory bandwidth for very large protocol working sets").
+    The flat ``miss_penalty`` (whole cycles) matches the paper's model,
+    where every primary miss hits in the secondary cache.
     """
 
     clock_hz: float = 100e6
     icache: CacheGeometry = field(default_factory=CacheGeometry)
     dcache: CacheGeometry = field(default_factory=CacheGeometry)
     miss_penalty: int = 20
-    l2: CacheGeometry | None = None
-    memory_penalty: int = 100
     #: Fraction of instruction-miss stall hidden by sequential prefetch
     #: ("some processors can prefetch instructions from the second level
     #: cache to hide some of the cache miss cost", Section 4).
@@ -75,28 +69,21 @@ class MachineSpec:
     def __post_init__(self) -> None:
         if self.clock_hz <= 0:
             raise ConfigurationError(f"clock must be positive, got {self.clock_hz}")
+        if isinstance(self.miss_penalty, bool) or not isinstance(
+            self.miss_penalty, int
+        ):
+            raise ConfigurationError(
+                f"miss penalty must be a whole number of cycles, got "
+                f"{self.miss_penalty!r}"
+            )
         if self.miss_penalty < 0:
             raise ConfigurationError(
                 f"miss penalty must be non-negative, got {self.miss_penalty}"
-            )
-        if self.memory_penalty < self.miss_penalty:
-            raise ConfigurationError(
-                "memory penalty cannot be below the L2-hit penalty"
             )
         if not 0.0 <= self.iprefetch_efficiency < 1.0:
             raise ConfigurationError(
                 "prefetch efficiency must be in [0, 1)"
             )
-        if self.l2 is not None:
-            for primary in (self.icache, self.dcache):
-                if self.l2.line_size != primary.line_size:
-                    raise ConfigurationError(
-                        "L2 line size must match the primary caches"
-                    )
-                if self.l2.size < primary.size:
-                    raise ConfigurationError(
-                        "L2 must be at least as large as each primary cache"
-                    )
 
     def with_clock(self, clock_hz: float) -> "MachineSpec":
         """Return a copy running at a different clock rate (Figure 7)."""
@@ -116,85 +103,3 @@ ROSENBLUM_1998 = MachineSpec(
     dcache=CacheGeometry(size=kb(64)),
     miss_penalty=30,
 )
-
-
-class SplitCacheHierarchy:
-    """Split primary I/D caches plus a miss-penalty cost model.
-
-    This is the mutable runtime counterpart of :class:`MachineSpec`: it
-    owns actual cache state and accumulates stall cycles.
-    """
-
-    def __init__(self, spec: MachineSpec | None = None) -> None:
-        self.spec = spec or MachineSpec()
-        self.icache: Cache = self.spec.icache.build()
-        self.dcache: Cache = self.spec.dcache.build()
-        self.l2: DirectMappedCache | None = (
-            self.spec.l2.build() if self.spec.l2 is not None else None
-        )
-
-    def stall_for_missed(self, missed: "np.ndarray", instruction: bool = False) -> int:
-        """Stall cycles for primary-miss lines, probing L2 when present.
-
-        With the paper's flat model (no L2 configured) every primary
-        miss costs ``miss_penalty``.  With an L2, lines that hit there
-        cost ``miss_penalty`` and true memory misses ``memory_penalty``.
-        Instruction fetches get ``iprefetch_efficiency`` of their stall
-        hidden (sequential prefetch from the next level).
-        """
-        count = int(missed.size)
-        if count == 0:
-            return 0
-        if self.l2 is None:
-            stall = count * self.spec.miss_penalty
-        else:
-            l2_misses = self._probe_l2(missed)
-            l2_hits = count - l2_misses
-            stall = (
-                l2_hits * self.spec.miss_penalty
-                + l2_misses * self.spec.memory_penalty
-            )
-        if instruction and self.spec.iprefetch_efficiency:
-            stall = int(round(stall * (1.0 - self.spec.iprefetch_efficiency)))
-        return stall
-
-    def _probe_l2(self, missed: "np.ndarray") -> int:
-        assert self.l2 is not None
-        span = int(missed.max() - missed.min()) + 1 if missed.size else 0
-        if span <= self.l2.num_lines:
-            return self.l2.access_line_array(missed)
-        return sum(self.l2.access_line(int(line)) for line in missed)
-
-    def fetch_code(self, addr: int, size: int) -> int:
-        """Fetch ``size`` bytes of code; return stall cycles incurred."""
-        missed = self.icache.access_span_report(addr, size)  # type: ignore[attr-defined]
-        return self.stall_for_missed(missed)
-
-    def read_data(self, addr: int, size: int) -> int:
-        """Read ``size`` bytes of data; return stall cycles incurred."""
-        missed = self.dcache.access_span_report(addr, size)  # type: ignore[attr-defined]
-        return self.stall_for_missed(missed)
-
-    def write_data(self, addr: int, size: int) -> int:
-        """Write ``size`` bytes of data; return stall cycles incurred.
-
-        The paper's model stalls only on *read* misses; writes allocate
-        in the caches but cost no stall (write buffer assumed).
-        """
-        missed = self.dcache.access_span_report(addr, size)  # type: ignore[attr-defined]
-        if self.l2 is not None and missed.size:
-            self._probe_l2(missed)
-        return 0
-
-    def flush(self) -> None:
-        """Cold-start all caches (statistics are preserved)."""
-        self.icache.flush()
-        self.dcache.flush()
-        if self.l2 is not None:
-            self.l2.flush()
-
-    def reset_stats(self) -> None:
-        self.icache.stats.reset()
-        self.dcache.stats.reset()
-        if self.l2 is not None:
-            self.l2.stats.reset()

@@ -1,5 +1,5 @@
-"""The simulated machine: regions, layout, CPU cost model, executor,
-and the N-core topology (:mod:`repro.machine.multicore`)."""
+"""The simulated machine: regions, layout, the CPU cost model over
+split I/D primary caches, and the footprint executor."""
 
 from .cpu import CPU
 from .executor import (
@@ -10,7 +10,6 @@ from .executor import (
     PlacedLayer,
 )
 from .layout import DEFAULT_SPAN, MemoryLayout
-from .multicore import MultiCoreSpec
 from .program import Program, Region, RegionKind
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "FootprintExecutor",
     "MemoryLayout",
     "MessageBuffer",
-    "MultiCoreSpec",
     "PlacedLayer",
     "Program",
     "Region",

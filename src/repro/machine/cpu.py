@@ -1,4 +1,4 @@
-"""The simulated CPU: cycle accounting over a split-cache hierarchy.
+"""The simulated CPU: cycle accounting over split I/D primary caches.
 
 The machine model is the paper's (Section 4): every executed instruction
 costs one cycle, every primary-cache *read* miss (instruction fetch or
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cache.hierarchy import MachineSpec, SplitCacheHierarchy
+from ..cache.hierarchy import MachineSpec
 from ..units import Clock
 
 
@@ -22,8 +22,8 @@ class CPU:
     ----------
     spec:
         The static machine description.
-    hierarchy:
-        The live split I/D cache state.
+    icache, dcache:
+        The live split I/D primary caches.
     cycles:
         Total cycles elapsed (execution + stalls).
     stall_cycles:
@@ -32,7 +32,8 @@ class CPU:
 
     def __init__(self, spec: MachineSpec | None = None) -> None:
         self.spec = spec or MachineSpec()
-        self.hierarchy = SplitCacheHierarchy(self.spec)
+        self.icache = self.spec.icache.build()
+        self.dcache = self.spec.dcache.build()
         self.clock = Clock(self.spec.clock_hz)
         self.cycles = 0.0
         self.stall_cycles = 0.0
@@ -44,41 +45,32 @@ class CPU:
         """Charge pure execution cycles (no memory-system interaction)."""
         self.cycles += cycles
 
-    def fetch_code_span(self, addr: int, size: int) -> int:
-        """Fetch a contiguous code span; returns misses, charges stalls."""
-        missed = self.hierarchy.icache.access_span_report(addr, size)  # type: ignore[attr-defined]
-        self._stall_for(missed, instruction=True)
-        return int(missed.size)
-
     def fetch_code_lines(self, lines: np.ndarray) -> int:
         """Fetch code by (distinct) absolute line numbers; vectorized."""
-        missed = self.hierarchy.icache.access_line_array_report(lines)  # type: ignore[attr-defined]
+        missed = self.icache.access_line_array_report(lines)
         self._stall_for(missed, instruction=True)
-        return int(missed.size)
-
-    def read_data_span(self, addr: int, size: int) -> int:
-        """Read a byte span; returns missed lines (stalls charged)."""
-        missed = self.hierarchy.dcache.access_span_report(addr, size)  # type: ignore[attr-defined]
-        self._stall_for(missed)
         return int(missed.size)
 
     def read_data_lines(self, lines: np.ndarray) -> int:
         """Read whole lines; returns missed lines (stalls charged)."""
-        missed = self.hierarchy.dcache.access_line_array_report(lines)  # type: ignore[attr-defined]
+        missed = self.dcache.access_line_array_report(lines)
         self._stall_for(missed)
         return int(missed.size)
 
-    def write_data_span(self, addr: int, size: int) -> int:
-        """Write data: allocates in the caches but never stalls."""
-        missed = self.hierarchy.dcache.access_span_report(addr, size)  # type: ignore[attr-defined]
-        if self.hierarchy.l2 is not None and missed.size:
-            self.hierarchy._probe_l2(missed)
-        return int(missed.size)
-
     def _stall_for(self, missed_lines: np.ndarray, instruction: bool = False) -> None:
-        penalty = self.hierarchy.stall_for_missed(missed_lines, instruction)
-        self.cycles += penalty
-        self.stall_cycles += penalty
+        """Charge ``miss_penalty`` per missed line.
+
+        Instruction fetches get ``iprefetch_efficiency`` of their stall
+        hidden (sequential prefetch from the secondary cache).
+        """
+        count = int(missed_lines.size)
+        if count == 0:
+            return
+        stall = count * self.spec.miss_penalty
+        if instruction and self.spec.iprefetch_efficiency:
+            stall = int(round(stall * (1.0 - self.spec.iprefetch_efficiency)))
+        self.cycles += stall
+        self.stall_cycles += stall
 
     # ------------------------------------------------------------------
     # Time and bookkeeping
@@ -95,21 +87,23 @@ class CPU:
 
     def cold_start(self) -> None:
         """Flush both caches (statistics preserved)."""
-        self.hierarchy.flush()
+        self.icache.flush()
+        self.dcache.flush()
 
     def reset(self) -> None:
         """Zero time and statistics and flush caches."""
         self.cycles = 0.0
         self.stall_cycles = 0.0
-        self.hierarchy.flush()
-        self.hierarchy.reset_stats()
+        self.cold_start()
+        self.icache.stats.reset()
+        self.dcache.stats.reset()
 
     @property
     def icache_misses(self) -> int:
         """Cumulative instruction-cache misses since the last reset."""
-        return self.hierarchy.icache.stats.misses
+        return self.icache.stats.misses
 
     @property
     def dcache_misses(self) -> int:
         """Cumulative data-cache misses since the last reset."""
-        return self.hierarchy.dcache.stats.misses
+        return self.dcache.stats.misses

@@ -4,9 +4,9 @@ The paper's Tables 1-3 and Figure 1 work because the in-kernel
 simulator could say which function, layer and phase each reference (and
 so each cache miss) belonged to.  This module is that attribution for
 our traces: it replays a function-annotated
-:class:`~repro.trace.buffer.TraceBuffer` through a cold
-:class:`~repro.cache.hierarchy.SplitCacheHierarchy`, charging a modelled
-cycle clock (one cycle per reference plus the machine's read-miss
+:class:`~repro.trace.buffer.TraceBuffer` through cold split I/D caches
+built from a :class:`~repro.cache.hierarchy.MachineSpec`, charging a
+modelled cycle clock (one cycle per reference plus the machine's read-miss
 penalty), and attributes every access, miss and stall cycle to the
 function — and through the function, the Table-1 layer — that issued it.
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..cache.hierarchy import MachineSpec, SplitCacheHierarchy
+from ..cache.hierarchy import MachineSpec
 from ..trace.buffer import TraceBuffer
 from .runtime import Recorder
 
@@ -203,7 +203,8 @@ class MissAttributor:
         spans and phase marks open/close phase spans, all on the
         modelled cycle clock.
         """
-        hierarchy = SplitCacheHierarchy(self.spec)
+        icache = self.spec.icache.build()
+        dcache = self.spec.dcache.build()
         line_size = self.spec.icache.line_size
         penalty = self.spec.miss_penalty
         result = MissAttribution(spec=self.spec, functions={})
@@ -251,7 +252,7 @@ class MissAttributor:
             line = ref.addr // line_size
             cycles += 1
             if ref.is_code():
-                missed = hierarchy.icache.access_span_report(ref.addr, ref.size)  # type: ignore[attr-defined]
+                missed = icache.access_span_report(ref.addr, ref.size)
                 row.code_refs += 1
                 row.code_misses += int(missed.size)
                 stall = int(missed.size) * penalty
@@ -259,7 +260,7 @@ class MissAttributor:
                 cycles += stall
                 result.code_lines.setdefault(line, row.layer)
             else:
-                missed = hierarchy.dcache.access_span_report(ref.addr, ref.size)  # type: ignore[attr-defined]
+                missed = dcache.access_span_report(ref.addr, ref.size)
                 if ref.is_write():
                     # Writes allocate but never stall (write buffer).
                     row.write_refs += 1

@@ -239,21 +239,21 @@ class Recorder:
 def machine_counters(cpu: Any) -> CounterProbe:
     """A counter probe over a :class:`repro.machine.cpu.CPU`.
 
-    Duck-typed (anything with ``cycles``, ``stall_cycles`` and a
-    ``hierarchy`` of I/D caches works) so this module stays free of
-    machine-layer imports.
+    Duck-typed (anything with ``cycles``, ``stall_cycles``, ``icache``
+    and ``dcache`` works) so this module stays free of machine-layer
+    imports.
     """
 
-    hierarchy = cpu.hierarchy
+    icache, dcache = cpu.icache, cpu.dcache
 
     def probe() -> dict[str, float]:
         return {
             "cycles": float(cpu.cycles),
             "stall_cycles": float(cpu.stall_cycles),
-            "icache_hits": float(hierarchy.icache.stats.hits),
-            "icache_misses": float(hierarchy.icache.stats.misses),
-            "dcache_hits": float(hierarchy.dcache.stats.hits),
-            "dcache_misses": float(hierarchy.dcache.stats.misses),
+            "icache_hits": float(icache.stats.hits),
+            "icache_misses": float(icache.stats.misses),
+            "dcache_hits": float(dcache.stats.hits),
+            "dcache_misses": float(dcache.stats.misses),
         }
 
     return probe

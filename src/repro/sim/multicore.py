@@ -3,8 +3,8 @@
 The single-core benchmark (:func:`repro.sim.runner.run_simulation`)
 generalized to the modern topology: a receive-side dispatch stage
 (:mod:`repro.core.dispatch`) steers each arrival onto one of N modeled
-cores (:mod:`repro.machine.multicore`), each running its own scheduler
-instance over private I/D caches, optionally behind one shared L2.
+cores, each a copy of the paper's CPU running its own scheduler
+instance over private I/D caches.
 Admission-time dispatch composes with admission-time drops: the
 dispatcher picks the core *first*, then that core's
 :class:`~repro.core.overload.DropPolicy` decides admission, so every
@@ -20,8 +20,7 @@ Cores couple only through dispatch at admission, so each core's service
 steps can be replayed on their own: with ``engine="vec"`` every core
 inside the vectorized envelope steps through its own
 :func:`repro.sim.vec.vec_step`, and the rest step through scalar
-``service_step()`` (a shared L2 keeps every core scalar), with
-bit-identical results either way.
+``service_step()``, with bit-identical results either way.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..cache.hierarchy import CacheGeometry, MachineSpec
+from ..cache.hierarchy import MachineSpec
 from ..core.dispatch import (
     APP_CLASS_KEY,
     DISPATCH_POLICIES,
@@ -42,7 +41,6 @@ from ..core.layer import Message
 from ..core.overload import DROP_POLICIES
 from ..core.scheduler import Scheduler
 from ..errors import ConfigurationError
-from ..machine.multicore import MultiCoreSpec
 from ..obs.runtime import active_recorder
 from ..traffic.base import Arrival, TrafficSource
 from ..traffic.poisson import PoissonSource
@@ -69,8 +67,10 @@ class MultiCoreConfig:
     exactly what they mean in :class:`~repro.sim.runner.SimulationConfig`
     — each core gets its own scheduler built from them.  On top of that:
 
-    ``num_cores`` / ``shared_l2``
-        The machine topology (see :class:`repro.machine.multicore.MultiCoreSpec`).
+    ``num_cores``
+        The core count; 1 reproduces the single-core model exactly.
+        Every core is an identical copy of ``spec`` (clock, private I/D
+        caches, miss penalty) with its own cycle clock and statistics.
     ``dispatch``
         Dispatch-policy registry name (:data:`repro.core.dispatch.DISPATCH_POLICIES`).
     ``num_flows`` / ``app_classes``
@@ -94,7 +94,6 @@ class MultiCoreConfig:
     layer_base_cycles: float = 1376.0
     layer_per_byte_cycles: float = 0.5
     spec: MachineSpec = field(default_factory=MachineSpec)
-    shared_l2: CacheGeometry | None = None
     duration: float = 0.2
     input_limit: int = 500
     batch_limit: int | None = None
@@ -132,12 +131,10 @@ class MultiCoreConfig:
             raise ConfigurationError("app_classes must be >= 1")
         if self.flush_period_cycles is not None and self.flush_period_cycles <= 0:
             raise ConfigurationError("cache-flush period must be positive")
-        # Topology validation (core count, shared-L2 geometry).
-        MultiCoreSpec(self.num_cores, self.spec, self.shared_l2)
-
-    def machine_spec(self) -> MultiCoreSpec:
-        """The machine topology this config describes."""
-        return MultiCoreSpec(self.num_cores, self.spec, self.shared_l2)
+        if self.num_cores < 1:
+            raise ConfigurationError(
+                f"core count must be >= 1, got {self.num_cores}"
+            )
 
     def core_config(self) -> SimulationConfig:
         """The single-core :class:`SimulationConfig` each core is built from."""
@@ -148,7 +145,7 @@ class MultiCoreConfig:
             layer_data_bytes=self.layer_data_bytes,
             layer_base_cycles=self.layer_base_cycles,
             layer_per_byte_cycles=self.layer_per_byte_cycles,
-            spec=self.machine_spec().core_spec(),
+            spec=self.spec,
             duration=self.duration,
             input_limit=self.input_limit,
             batch_limit=self.batch_limit,
@@ -179,20 +176,13 @@ def build_cores(config: MultiCoreConfig, seed: int) -> list[Scheduler]:
 
     Each core reuses the exact single-core constructor
     (:func:`repro.sim.runner.build_scheduler`) with its own placement
-    seed; with a shared L2 configured, every core's hierarchy is then
-    rewired to probe one shared cache instance.
+    seed, so every core gets its own CPU and private caches.
     """
     base = config.core_config()
-    cores = [
+    return [
         build_scheduler(base, core_seed(seed, index))
         for index in range(config.num_cores)
     ]
-    if config.shared_l2 is not None:
-        shared = config.shared_l2.build()
-        for scheduler in cores:
-            assert scheduler.binding is not None
-            scheduler.binding.cpu.hierarchy.l2 = shared
-    return cores
 
 
 def tag_flows(

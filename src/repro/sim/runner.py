@@ -441,8 +441,8 @@ def drive(
     ``"scalar"`` steps through ``scheduler.service_step()``; ``"vec"``
     replays service steps through the batch/columnar engine
     (:mod:`repro.sim.vec`), which is bit-identical where supported and
-    silently falls back to scalar steps where not (stateful layers, L2
-    hierarchies, self-conflicting placements, span-keeping recorders).
+    silently falls back to scalar steps where not (stateful layers,
+    self-conflicting placements, span-keeping recorders).
     """
     check_engine(engine)
     if engine == "vec":

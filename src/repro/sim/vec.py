@@ -52,8 +52,8 @@ Equivalence boundaries
 The engine silently declines (:func:`vec_step` returns ``None``, the
 caller falls back to scalar steps for that core) whenever exact replay
 is not guaranteed: unbound schedulers, non-passthrough layers (stateful
-stacks), an L2 hierarchy (including a multi-core shared L2), layers
-whose code working set conflicts with itself in the instruction cache
+stacks), primary caches that are not direct-mapped, layers whose code
+working set conflicts with itself in the instruction cache
 (the static template would be unsound — see
 :class:`~repro.cache.chunked.UnsupportedPlanError`), or a span-keeping
 obs recorder (the vec path does not emit per-layer ``invoke`` spans,
@@ -143,10 +143,9 @@ class _VecEngine:
         assert binding is not None
         self.binding = binding
         self.cpu = binding.cpu
-        hierarchy = self.cpu.hierarchy
-        self.icache = hierarchy.icache
-        self.dcache = hierarchy.dcache
-        self.miss_penalty = int(binding.spec.miss_penalty)
+        self.icache = self.cpu.icache
+        self.dcache = self.cpu.dcache
+        self.miss_penalty = binding.spec.miss_penalty
         efficiency = float(binding.spec.iprefetch_efficiency)
         self.iprefetch_scale = (1.0 - efficiency) if efficiency else None
         self.placed = [
@@ -313,7 +312,7 @@ def vec_supported(scheduler: Scheduler) -> bool:
     """Whether the vectorized engine can replay this scheduler exactly.
 
     Checks everything static: scheduler kind, pure passthrough layers,
-    a bound flat (no-L2) direct-mapped hierarchy, and self-conflict-free
+    bound direct-mapped I/D primaries, and self-conflict-free
     code/data/buffer placements (the static-template soundness
     condition).  Dynamic conditions (a span-keeping recorder) are
     checked by :func:`vec_step` per call.
@@ -324,18 +323,16 @@ def vec_supported(scheduler: Scheduler) -> bool:
     binding = scheduler.binding
     if binding is None or not binding.bound:
         return False
-    if binding.spec.l2 is not None:
+    cpu = binding.cpu
+    if type(cpu.icache) is not DirectMappedCache:
         return False
-    hierarchy = binding.cpu.hierarchy
-    if type(hierarchy.icache) is not DirectMappedCache:
-        return False
-    if type(hierarchy.dcache) is not DirectMappedCache:
+    if type(cpu.dcache) is not DirectMappedCache:
         return False
     for layer in scheduler.layers:
         if type(layer) is not PassthroughLayer:
             return False
-    icache_sets = hierarchy.icache.num_lines
-    dcache_sets = hierarchy.dcache.num_lines
+    icache_sets = cpu.icache.num_lines
+    dcache_sets = cpu.dcache.num_lines
     for layer in scheduler.layers:
         placed = binding.placed_layer(layer.name)
         if not _distinct_sets(placed.code_lines, icache_sets):

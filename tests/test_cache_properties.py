@@ -9,8 +9,6 @@ randomly generated access traces rather than hand-picked cases:
   than it has sets;
 * locality — once a span smaller than the cache is resident, repeated
   access to it hits on every line;
-* hierarchy — the second-level cache is probed exactly on primary
-  misses, so its access count can never exceed the primary miss count;
 * equivalence — the vectorized span path matches the scalar path, and
   1-way set-associative matches direct-mapped, access for access.
 """
@@ -25,7 +23,6 @@ import pytest
 
 from repro.cache.cache import DirectMappedCache, SetAssociativeCache
 from repro.cache.chunked import SegmentedAccessPlan, UnsupportedPlanError, unit_plan
-from repro.cache.hierarchy import CacheGeometry, MachineSpec, SplitCacheHierarchy
 from repro.errors import ConfigurationError
 
 #: Small geometries keep traces interesting (evictions actually happen).
@@ -94,26 +91,6 @@ def test_warm_span_hits_on_repeat(size, line_size, addr, data):
     for _ in range(3):
         assert cache.access_span(addr, span) == 0
     assert cache.stats.misses == before
-
-
-@settings(max_examples=40, deadline=None)
-@given(accesses=ACCESSES, instruction=st.booleans())
-def test_l2_accesses_bounded_by_l1_misses(accesses, instruction):
-    """The unified L2 is probed only on primary misses."""
-    spec = MachineSpec(
-        icache=CacheGeometry(size=512, line_size=32),
-        dcache=CacheGeometry(size=512, line_size=32),
-        l2=CacheGeometry(size=2048, line_size=32),
-    )
-    hierarchy = SplitCacheHierarchy(spec)
-    for addr, span in accesses:
-        if instruction:
-            hierarchy.fetch_code(addr, span)
-        else:
-            hierarchy.read_data(addr, span)
-    primary = hierarchy.icache if instruction else hierarchy.dcache
-    assert hierarchy.l2 is not None
-    assert hierarchy.l2.stats.accesses <= primary.stats.misses
 
 
 @settings(max_examples=60, deadline=None)

@@ -171,18 +171,20 @@ class TestCPU:
 
     def test_miss_charges_penalty(self):
         cpu = CPU()
-        cpu.fetch_code_span(0, 32)
+        cpu.fetch_code_lines(np.array([0]))
         assert cpu.cycles == 20
         assert cpu.stall_cycles == 20
-        cpu.fetch_code_span(0, 32)  # now warm
+        cpu.fetch_code_lines(np.array([0]))  # now warm
         assert cpu.cycles == 20
 
-    def test_write_never_stalls(self):
-        cpu = CPU()
-        cpu.write_data_span(0, 4096)
-        assert cpu.cycles == 0
-        # But the written lines are now resident.
-        assert cpu.read_data_span(0, 4096) == 0
+    def test_flat_model(self):
+        """Every primary miss costs ``miss_penalty``, hits cost nothing."""
+        cpu = CPU(MachineSpec())
+        lines = np.arange(192, dtype=np.int64)  # 6 KB of code
+        assert cpu.fetch_code_lines(lines) == 192
+        assert cpu.stall_cycles == 192 * 20
+        assert cpu.fetch_code_lines(lines) == 0
+        assert cpu.stall_cycles == 192 * 20
 
     def test_time_seconds(self):
         cpu = CPU(MachineSpec(clock_hz=100e6))
@@ -198,13 +200,13 @@ class TestCPU:
 
     def test_cold_start_flushes(self):
         cpu = CPU()
-        cpu.fetch_code_span(0, 32)
+        cpu.fetch_code_lines(np.array([0]))
         cpu.cold_start()
-        assert cpu.fetch_code_span(0, 32) == 1
+        assert cpu.fetch_code_lines(np.array([0])) == 1
 
     def test_reset(self):
         cpu = CPU()
-        cpu.fetch_code_span(0, 32)
+        cpu.fetch_code_lines(np.array([0]))
         cpu.reset()
         assert cpu.cycles == 0
         assert cpu.icache_misses == 0
@@ -212,8 +214,16 @@ class TestCPU:
     def test_custom_miss_penalty(self):
         spec = MachineSpec(miss_penalty=10)
         cpu = CPU(spec)
-        cpu.read_data_span(0, 32)
+        cpu.read_data_lines(np.array([0]))
         assert cpu.cycles == 10
+
+    def test_fractional_miss_penalty_rejected(self):
+        """The stall is whole cycles on both engines; a fractional
+        penalty would be charged differently by each."""
+        with pytest.raises(ConfigurationError, match="whole number"):
+            MachineSpec(miss_penalty=20.5)
+        with pytest.raises(ConfigurationError, match="whole number"):
+            MachineSpec(miss_penalty=True)
 
 
 class TestExecutionProfile:

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.harnesscheck import check_registry_coverage
-from repro.cache.hierarchy import CacheGeometry, MachineSpec
 from repro.core.dispatch import (
     APP_CLASS_KEY,
     DISPATCH_POLICIES,
@@ -35,7 +34,6 @@ from repro.errors import ConfigurationError
 from repro.experiments import multicore as experiment
 from repro.harness import ResultCache, run_experiment
 from repro.harness.cache import canonical_json
-from repro.machine.multicore import MultiCoreSpec
 from repro.obs.runtime import Recorder, recording
 from repro.sim.multicore import (
     MultiCoreConfig,
@@ -167,42 +165,10 @@ class TestRSSBalanceProperty:
 # Machine topology
 
 
-class TestMultiCoreSpec:
+class TestTopology:
     def test_core_count_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            MultiCoreSpec(num_cores=0)
-
-    def test_per_core_l2_is_rejected(self):
-        spec = MachineSpec(l2=CacheGeometry(size=65536, line_size=32))
-        with pytest.raises(ConfigurationError):
-            MultiCoreSpec(num_cores=2, core=spec)
-
-    def test_shared_l2_line_size_must_match(self):
-        with pytest.raises(ConfigurationError):
-            MultiCoreSpec(
-                num_cores=2,
-                shared_l2=CacheGeometry(size=65536, line_size=64),
-            )
-
-    def test_shared_l2_must_cover_primaries(self):
-        with pytest.raises(ConfigurationError):
-            MultiCoreSpec(
-                num_cores=2,
-                shared_l2=CacheGeometry(size=4096, line_size=32),
-            )
-
-    def test_shared_l2_is_one_instance(self):
-        cores = build_cores(
-            MultiCoreConfig(
-                num_cores=3,
-                shared_l2=CacheGeometry(size=65536, line_size=32),
-            ),
-            0,
-        )
-        shared = cores[0].binding.cpu.hierarchy.l2
-        assert shared is not None
-        for scheduler in cores:
-            assert scheduler.binding.cpu.hierarchy.l2 is shared
+        with pytest.raises(ConfigurationError, match="core count must be >= 1"):
+            MultiCoreConfig(num_cores=0)
 
 
 # ----------------------------------------------------------------------
@@ -322,19 +288,6 @@ class TestMultiCoreEngines:
         )
         if scheduler in ("ldlp", "grouped"):
             assert counters["ldlp.batched_messages"] > counters["ldlp.batches"]
-
-    def test_shared_l2_stays_scalar_and_matches(self):
-        shape = dict(
-            scheduler="ldlp",
-            dispatch="ldlp",
-            num_cores=2,
-            duration=0.02,
-            shared_l2=CacheGeometry(size=65536, line_size=32),
-        )
-        cores = build_cores(MultiCoreConfig(**shape), 3)
-        assert all(vec_step(core) is None for core in cores)
-        outcomes = run_both_engines(**shape)
-        assert outcomes["scalar"] == outcomes["vec"]
 
     def test_unknown_engine_fails_at_config(self):
         with pytest.raises(ConfigurationError, match="unknown engine 'turbo'"):

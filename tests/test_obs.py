@@ -186,6 +186,14 @@ class TestLiveMissAttribution:
         assert top.stall_cycles == pytest.approx(top.misses * 20, rel=0.5)
         assert sum(fn.refs for fn in table) > 0
 
+    def test_writes_allocate_but_never_stall(self, attribution):
+        """Only code and read misses stall; write misses cost nothing."""
+        penalty = attribution.spec.miss_penalty
+        table = attribution.function_table()
+        assert sum(fn.write_misses for fn in table) > 0
+        for fn in table:
+            assert fn.stall_cycles == penalty * (fn.code_misses + fn.read_misses)
+
     def test_replay_emits_spans(self):
         recorder, attribution = trace_receive_path(seed=0)
         tracks = recorder.tracks()

@@ -1,5 +1,6 @@
 """Tests for the Table 2 narrative harness and the prefetch model/ablation."""
 
+import numpy as np
 import pytest
 
 from repro.cache.hierarchy import MachineSpec
@@ -45,8 +46,9 @@ class TestPrefetchModel:
     def test_instruction_stall_scaled(self):
         plain = CPU(MachineSpec())
         prefetching = CPU(MachineSpec(iprefetch_efficiency=0.5))
-        plain.fetch_code_span(0, 6144)
-        prefetching.fetch_code_span(0, 6144)
+        lines = np.arange(192, dtype=np.int64)  # 6144 bytes of code
+        plain.fetch_code_lines(lines)
+        prefetching.fetch_code_lines(lines)
         assert prefetching.stall_cycles == pytest.approx(
             plain.stall_cycles * 0.5
         )
@@ -54,8 +56,9 @@ class TestPrefetchModel:
     def test_data_stall_unaffected(self):
         plain = CPU(MachineSpec())
         prefetching = CPU(MachineSpec(iprefetch_efficiency=0.5))
-        plain.read_data_span(0, 552)
-        prefetching.read_data_span(0, 552)
+        lines = np.arange(18, dtype=np.int64)  # 552 bytes of data
+        plain.read_data_lines(lines)
+        prefetching.read_data_lines(lines)
         assert prefetching.stall_cycles == plain.stall_cycles
 
     def test_with_clock_preserves_prefetch(self):
